@@ -12,11 +12,9 @@ from .conditional import (
     xi_points,
 )
 from .core import ProblemConfig, ZPoint, squared_error, squared_error_z, z_reduce
-from .estimators import EstimatorSpec, Kind, apply, parse_spec, shrink_factor
+from .estimators import EstimatorSpec, Kind, apply, shrink_factor
 from .exact_risk import (
-    RiskDelta,
     norm_sq_mean,
-    risk_delta,
     risk_delta_approx,
     risk_delta_exact,
     risk_exact,
@@ -36,10 +34,6 @@ from .special import (
     expected_chi_norm,
     expected_chi_norm_asymptotic,
     inv_noncentral_chisq_mean,
-    log_gamma,
-    sample_chi_squared,
-    sample_standard_normal,
-    stream,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,12 @@ Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
@@ -23,8 +26,8 @@ from .svgplot import render_scatter
 __all__ = ["run", "main"]
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(argparse.ArgumentTypeError):
+    """A bad command line; argparse reports it against the option it came from."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +48,10 @@ def _write_atomic(path: str, data: str):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -59,14 +66,25 @@ def _write_csv(path: str, header, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _finite(text: str) -> float:
+    """A finite float; anything else, inf and nan included, is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise _UsageError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_range(text: str):
     """`start:stop:count` (inclusive, count >= 2) or a single value."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise _UsageError(f"bad range {text!r}, expected start:stop:count")
+        start, stop = _finite(parts[0]), _finite(parts[1])
         try:
-            start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
         except ValueError:
             raise _UsageError(f"bad range {text!r}") from None
@@ -74,19 +92,13 @@ def _parse_range(text: str):
             raise _UsageError(f"range count must be >= 2 in {text!r}")
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count - 1)] + [stop]
-    try:
-        return [float(text)]
-    except ValueError:
-        raise _UsageError(f"bad value {text!r}") from None
+    return [_finite(text)]
 
 
 def _parse_list_or_range(text: str):
     if ":" in text:
         return _parse_range(text)
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"bad list {text!r}") from None
+    return [_finite(v) for v in text.split(",")]
 
 
 def _build_parser() -> _Parser:
@@ -98,7 +110,7 @@ def _build_parser() -> _Parser:
 
     c = add("cloud", help="simulate reduced observations")
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--theta", type=float, required=True)
+    c.add_argument("--theta", type=_finite, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
@@ -114,14 +126,14 @@ def _build_parser() -> _Parser:
     r.add_argument("--svg")
 
     k = add("conditional", help="two-point conditional loss breakdown")
-    k.add_argument("--p", type=float, required=True)
-    k.add_argument("--theta", type=float, required=True)
-    k.add_argument("--c", type=float, required=True)
+    k.add_argument("--p", type=_finite, required=True)
+    k.add_argument("--theta", type=_finite, required=True)
+    k.add_argument("--c", type=_finite, required=True)
     k.add_argument("--out", required=True)
 
     g = add("geometry", help="projection construction report")
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--theta", type=float, required=True)
+    g.add_argument("--theta", type=_finite, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--svg")
 
@@ -131,7 +143,7 @@ def _build_parser() -> _Parser:
 
     e = add("exceedance", help="empirical P(|X| >= |theta|)")
     e.add_argument("--p", type=int, required=True)
-    e.add_argument("--theta", type=float, required=True)
+    e.add_argument("--theta", type=_finite, required=True)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", required=True)
@@ -144,12 +156,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_cloud(args) -> int:
     sample = simulate_cloud(ProblemConfig(args.p, args.theta, args.seed), args.n)
-    rows = [(i, pt.x1, pt.r) for i, pt in enumerate(sample.points)]
-    _write_csv(args.out, ["idx", "x1", "r"], rows)
+    x1, r = sample.x1.tolist(), sample.r.tolist()
+    _write_csv(args.out, ["idx", "x1", "r"], zip(range(len(x1)), x1, r))
     if args.svg:
         svg = render_scatter(
-            [pt.x1 for pt in sample.points],
-            [pt.r for pt in sample.points],
+            x1, r,
             title=f"Reduced observations, p={args.p}, theta={args.theta:g}",
             xlabel="x1", ylabel="r",
         )
@@ -160,18 +171,21 @@ def _cmd_cloud(args) -> int:
 def _cmd_risk_curve(args) -> int:
     thetas = _parse_range(args.theta)
     cs = _parse_list_or_range(args.c)
+    if args.mc_n is not None and args.mc_n < 2:
+        raise _UsageError(f"--mc-n must be >= 2, got {args.mc_n}")
+    c_array = np.array(cs)
     rows = []
     for t in thetas:
-        for c in cs:
-            exact = risk_delta_exact(args.p, t, c)
-            approx = risk_delta_approx(args.p, t, c)
-            if args.mc_n:
-                est = estimate_delta_mc(
-                    ProblemConfig(args.p, t, args.seed), c, args.mc_n
-                )
-                rows.append((args.p, t, c, exact, approx, est.mean, est.stderr))
-            else:
-                rows.append((args.p, t, c, exact, approx, None, None))
+        # The inverse moment is c-free, and one set of draws serves every c.
+        exact = risk_delta_exact(args.p, t, c_array).tolist()
+        approx = risk_delta_approx(args.p, t, c_array).tolist()
+        if args.mc_n:
+            ests = estimate_delta_mc(ProblemConfig(args.p, t, args.seed), cs, args.mc_n)
+            mc = [(est.mean, est.stderr) for est in ests]
+        else:
+            mc = [(None, None)] * len(cs)
+        for c, ex, ap, (mean, stderr) in zip(cs, exact, approx, mc):
+            rows.append((args.p, t, c, ex, ap, mean, stderr))
     header = ["p", "theta", "c", "delta_exact", "delta_approx",
               "delta_mc_mean", "delta_mc_stderr"]
     _write_csv(args.out, header, rows)
@@ -273,7 +287,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ systems and agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class ProblemConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"dimension must be >= 1, got p={self.p}")
+        if not math.isfinite(self.theta_norm):
+            raise ValueError(f"theta_norm must be finite, got {self.theta_norm}")
         if self.theta_norm < 0:
             raise ValueError(f"theta_norm must be >= 0, got {self.theta_norm}")
         if not 0 <= self.seed < 2**64:

@@ -7,7 +7,6 @@ the naive geometrically optimal estimator 1 - (p-1)/|x|^2.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .core import ZPoint
 
-__all__ = ["Kind", "EstimatorSpec", "shrink_factor", "apply", "parse_spec"]
+__all__ = ["Kind", "EstimatorSpec", "shrink_factor", "apply"]
 
 
 class Kind(Enum):
@@ -52,39 +51,6 @@ class EstimatorSpec:
     @classmethod
     def ngo(cls):
         return cls(Kind.NGO)
-
-    def canonical(self) -> str:
-        if self.kind is Kind.IDENTITY:
-            return "identity"
-        if self.kind is Kind.NGO:
-            return "ngo"
-        if self.kind is Kind.SHRINK_C:
-            return f"shrink:C={self.c!r}"
-        return f"shrink:C={self.c!r},a={self.a!r}"
-
-
-_SHRINK_RE = re.compile(
-    r"^shrink:C=(?P<c>[^,]+?)(?:,a=(?P<a>.+))?$"
-)
-
-
-def parse_spec(text: str) -> EstimatorSpec:
-    """Parse the canonical CLI form: identity | shrink:C=<r> | shrink:C=<r>,a=<r> | ngo."""
-    if text == "identity":
-        return EstimatorSpec.identity()
-    if text == "ngo":
-        return EstimatorSpec.ngo()
-    m = _SHRINK_RE.match(text)
-    if m:
-        try:
-            c = float(m.group("c"))
-            a = m.group("a")
-            if a is None:
-                return EstimatorSpec.shrink(c)
-            return EstimatorSpec.shrink_a(c, float(a))
-        except ValueError:
-            pass
-    raise ValueError(f"unrecognized estimator spec: {text!r}")
 
 
 def shrink_factor(spec: EstimatorSpec, norm_sq, p: int):

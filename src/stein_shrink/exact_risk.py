@@ -11,13 +11,10 @@ replaces E[1/|X|^2] by 1/(|theta|^2 + p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .estimators import EstimatorSpec, Kind
 from .special import SeriesControl, inv_noncentral_chisq_mean
 
 __all__ = [
-    "RiskDelta",
     "risk_delta_exact",
     "risk_delta_approx",
     "risk_exact",
@@ -26,47 +23,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RiskDelta:
-    exact: float
-    approx: float
-    p: int
-    theta_norm: float
-    c: float
-
-
 def dominance_quadratic(p, c) -> float:
     """The c-quadratic c(p-2) - c^2/2 shared by the exact and approximate routes."""
     return c * (p - 2) - c * c / 2.0
 
 
 def risk_delta_exact(
-    p: int, theta_norm: float, c: float, ctl: SeriesControl = SeriesControl()
-) -> float:
-    """Exact risk improvement of the c-shrinkage estimator over the identity."""
+    p: int, theta_norm: float, c, ctl: SeriesControl = SeriesControl()
+):
+    """Exact risk improvement of the c-shrinkage estimator over the identity.
+
+    `c` may be an array: the c-free inverse moment is then computed once.
+    """
     if p <= 2:
         raise ValueError(f"exact risk difference requires p >= 3, got p={p}")
     inv_mom = inv_noncentral_chisq_mean(p, theta_norm * theta_norm, ctl)
     return 2.0 * inv_mom * dominance_quadratic(p, c)
 
 
-def risk_delta_approx(p: int, theta_norm: float, c: float) -> float:
+def risk_delta_approx(p: int, theta_norm: float, c):
     """Approximate risk improvement 2/(|theta|^2 + p) * (c(p-2) - c^2/2)."""
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got p={p}")
     return 2.0 / (theta_norm * theta_norm + p) * dominance_quadratic(p, c)
-
-
-def risk_delta(
-    p: int, theta_norm: float, c: float, ctl: SeriesControl = SeriesControl()
-) -> RiskDelta:
-    return RiskDelta(
-        exact=risk_delta_exact(p, theta_norm, c, ctl),
-        approx=risk_delta_approx(p, theta_norm, c),
-        p=p,
-        theta_norm=theta_norm,
-        c=c,
-    )
 
 
 def risk_exact(

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConfig, ZPoint, z_reduce
-from .estimators import EstimatorSpec, Kind, shrink_factor
-from .special import stream
+from .core import ProblemConfig
+from .estimators import EstimatorSpec, shrink_factor
 
 __all__ = [
     "RiskEstimate",
@@ -52,34 +51,56 @@ class RiskEstimate:
 
 @dataclass(frozen=True)
 class CloudSample:
-    points: list
+    """n reduced observations as arrays: x1 along theta, r the residual length."""
+
+    x1: np.ndarray
+    r: np.ndarray
     config: ProblemConfig
 
 
-def _chunk_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, tag, index]))
-    )
+def _map_chunks(config, tag, n, chunk_fn, workers=1, min_p=2, min_n=2):
+    """Run chunk_fn(rng, count) over fixed-size chunks; results in chunk order.
 
+    Chunk i draws from SeedSequence([seed, tag, i]), so the result does not
+    depend on `workers`.
+    """
+    if config.p < min_p:
+        raise ValueError(f"Monte Carlo requires p >= {min_p}, got p={config.p}")
+    if n < min_n:
+        raise ValueError(f"need n >= {min_n}, got {n}")
+    counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
 
-def _map_chunks(seed, tag, n, chunk_fn, workers=1):
-    """Run chunk_fn(rng, count) over fixed-size chunks; results in chunk order."""
-    jobs = []
-    start = 0
-    index = 0
-    while start < n:
-        jobs.append((index, min(CHUNK_SIZE, n - start)))
-        start += CHUNK_SIZE
-        index += 1
-
-    def run(job):
-        i, m = job
-        return chunk_fn(_chunk_rng(seed, tag, i), m)
+    def run(i):
+        seq = np.random.SeedSequence([config.seed, tag, i])
+        return chunk_fn(np.random.Generator(np.random.PCG64(seq)), counts[i])
 
     if workers <= 1:
-        return [run(j) for j in jobs]
+        return [run(i) for i in range(len(counts))]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, jobs))
+        return list(ex.map(run, range(len(counts))))
+
+
+def _sums(config, tag, n, values_fn, workers=1, min_p=2):
+    """(sum, sum of squares) over n draws of each array values_fn(rng, count) yields."""
+
+    def sum_sq(v):
+        return float(v.sum()), float((v * v).sum())
+
+    def chunk(rng, m):
+        # map keeps no yielded array past its reduction, so one is alive at a time
+        return list(map(sum_sq, values_fn(rng, m)))
+
+    parts = _map_chunks(config, tag, n, chunk, workers, min_p)
+    return [
+        (sum(part[k][0] for part in parts), sum(part[k][1] for part in parts))
+        for k in range(len(parts[0]))
+    ]
+
+
+def _moments_to_estimate(total, total_sq, n):
+    mean = total / n
+    var = max(0.0, (total_sq - total * total / n) / (n - 1))
+    return RiskEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
 
 
 def _sample_z(rng, p, theta_norm, m):
@@ -90,36 +111,24 @@ def _sample_z(rng, p, theta_norm, m):
 
 
 def _loss_z(spec, x1, r2, theta_norm, p):
-    norm_sq = x1 * x1 + r2
-    f = shrink_factor(spec, norm_sq, p)
+    f = shrink_factor(spec, x1 * x1 + r2, p)
     d = f * x1 - theta_norm
     return d * d + f * f * r2
 
 
-def _moments_to_estimate(total, total_sq, n):
-    mean = total / n
-    var = max(0.0, (total_sq - total * total / n) / (n - 1))
-    return RiskEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
-
-
 def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
     """n independent reduced observations; bit-identical for a given seed."""
-    if config.p < 2:
-        raise ValueError(f"cloud simulation requires p >= 2, got p={config.p}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, config.p, config.theta_norm, m)
         return x1, np.sqrt(r2)
 
-    parts = _map_chunks(config.seed, _TAG_CLOUD, n, chunk)
-    points = [
-        ZPoint(float(x), float(r))
-        for xs, rs in parts
-        for x, r in zip(xs, rs)
-    ]
-    return CloudSample(points=points, config=config)
+    parts = _map_chunks(config, _TAG_CLOUD, n, chunk, min_n=1)
+    return CloudSample(
+        x1=np.concatenate([x1 for x1, _ in parts]),
+        r=np.concatenate([r for _, r in parts]),
+        config=config,
+    )
 
 
 def estimate_risk_mc(
@@ -129,89 +138,74 @@ def estimate_risk_mc(
     via_full_vectors: bool = False,
     workers: int = 1,
 ) -> RiskEstimate:
-    """Empirical risk of the estimator: mean squared error over n replications."""
-    if config.p < 2:
-        raise ValueError(f"risk estimation requires p >= 2, got p={config.p}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 for a standard error, got {n}")
-    p, t = config.p, config.theta_norm
+    """Empirical risk of the estimator: mean squared error over n replications.
 
+    With `via_full_vectors`, whole p-vectors X ~ N(theta, I_p) are drawn and
+    the loss is taken in full coordinates, independent of the reduction.
+    """
+    p, t = config.p, config.theta_norm
     if via_full_vectors:
         theta = np.zeros(p)
         theta[0] = t
 
         def chunk(rng, m):
             x = theta + rng.standard_normal((m, p))
-            if t > 0:
-                z = np.array([z_reduce(row, theta).as_array() for row in x])
-                x1, r2 = z[:, 0], z[:, 1] ** 2
-                loss = _loss_z(spec, x1, r2, t, p)
-            else:
-                norm_sq = np.einsum("ij,ij->i", x, x)
-                f = shrink_factor(spec, norm_sq, p)
-                d = f[:, None] * x - theta
-                loss = np.einsum("ij,ij->i", d, d)
-            return float(loss.sum()), float((loss * loss).sum())
+            f = shrink_factor(spec, np.einsum("ij,ij->i", x, x), p)
+            d = f[:, None] * x - theta
+            yield np.einsum("ij,ij->i", d, d)
 
-        tag = _TAG_RISK_FULL
     else:
 
         def chunk(rng, m):
             x1, r2 = _sample_z(rng, p, t, m)
-            loss = _loss_z(spec, x1, r2, t, p)
-            return float(loss.sum()), float((loss * loss).sum())
+            yield _loss_z(spec, x1, r2, t, p)
 
-        tag = _TAG_RISK
-
-    parts = _map_chunks(config.seed, tag, n, chunk, workers)
-    total = sum(s for s, _ in parts)
-    total_sq = sum(ss for _, ss in parts)
+    tag = _TAG_RISK_FULL if via_full_vectors else _TAG_RISK
+    [(total, total_sq)] = _sums(config, tag, n, chunk, workers)
     return _moments_to_estimate(total, total_sq, n)
 
 
-def estimate_delta_mc(
-    config: ProblemConfig, spec, n: int, workers: int = 1
-) -> RiskEstimate:
+def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
     """Paired risk-difference estimate: loss(identity) - loss(spec) on common draws.
 
-    `spec` may be an EstimatorSpec or a bare shrinkage constant c (ShrinkC).
-    Pairing on the same reduced observation cancels most of the sampling
-    variance of differencing two independent risk estimates.
+    `specs` may be an EstimatorSpec, a bare shrinkage constant c (ShrinkC), or
+    a list of either.  A single spec gives one RiskEstimate; a list gives one
+    per entry, all scored on the same draws against one identity loss, and
+    each bit-equal to the estimate for that entry alone.  Pairing on the same
+    reduced observation cancels most of the sampling variance of differencing
+    two independent risk estimates.
     """
-    if not isinstance(spec, EstimatorSpec):
-        spec = EstimatorSpec.shrink(float(spec))
-    if config.p < 2:
-        raise ValueError(f"delta estimation requires p >= 2, got p={config.p}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 for a standard error, got {n}")
+    single = not isinstance(specs, (list, tuple))
+    specs = [
+        s if isinstance(s, EstimatorSpec) else EstimatorSpec.shrink(float(s))
+        for s in ([specs] if single else specs)
+    ]
     p, t = config.p, config.theta_norm
     identity = EstimatorSpec.identity()
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, p, t, m)
-        d = _loss_z(identity, x1, r2, t, p) - _loss_z(spec, x1, r2, t, p)
-        return float(d.sum()), float((d * d).sum())
+        base = _loss_z(identity, x1, r2, t, p)
+        for spec in specs:
+            yield base - _loss_z(spec, x1, r2, t, p)
 
-    parts = _map_chunks(config.seed, _TAG_DELTA, n, chunk, workers)
-    total = sum(s for s, _ in parts)
-    total_sq = sum(ss for _, ss in parts)
-    return _moments_to_estimate(total, total_sq, n)
+    estimates = [
+        _moments_to_estimate(total, total_sq, n)
+        for total, total_sq in _sums(config, _TAG_DELTA, n, chunk, workers)
+    ]
+    return estimates[0] if single else estimates
 
 
 def estimate_exceedance_prob(
     config: ProblemConfig, n: int, workers: int = 1
 ) -> RiskEstimate:
     """Empirical P(|X| >= |theta|), with a binomial standard error."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     p, t = config.p, config.theta_norm
-    thresh = t * t
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, p, t, m)
-        return float(np.count_nonzero(x1 * x1 + r2 >= thresh)), 0.0
+        yield x1 * x1 + r2 >= t * t
 
-    parts = _map_chunks(config.seed, _TAG_EXCEED, n, chunk, workers)
-    hits = sum(s for s, _ in parts)
+    [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers, min_p=1)
     phat = hits / n
     return RiskEstimate(mean=phat, stderr=math.sqrt(phat * (1 - phat) / n), n=n)

@@ -1,24 +1,16 @@
-"""Gamma-ratio chi means, the inverse moment of the noncentral chi-square,
-and the seeded sampling primitives used by the Monte Carlo layer.
-"""
+"""Gamma-ratio chi means and the inverse moment of the noncentral chi-square."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "SeriesControl",
     "SeriesConvergenceError",
-    "log_gamma",
     "expected_chi_norm",
     "expected_chi_norm_asymptotic",
     "inv_noncentral_chisq_mean",
-    "stream",
-    "sample_standard_normal",
-    "sample_chi_squared",
 ]
 
 
@@ -44,18 +36,11 @@ class SeriesConvergenceError(RuntimeError):
         self.partial_sum = partial_sum
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def expected_chi_norm(p: int) -> float:
     """Exact mean of R where R^2 ~ chi^2_{p-1}: sqrt(2) Gamma(p/2) / Gamma((p-1)/2)."""
     if p < 2:
         raise ValueError(f"expected_chi_norm requires p >= 2, got {p}")
-    return math.sqrt(2.0) * math.exp(log_gamma(p / 2) - log_gamma((p - 1) / 2))
+    return math.sqrt(2.0) * math.exp(math.lgamma(p / 2) - math.lgamma((p - 1) / 2))
 
 
 def expected_chi_norm_asymptotic(p: int) -> float:
@@ -119,22 +104,3 @@ def inv_noncentral_chisq_mean(
         f"series for E[1/chi^2_{p}({lam})] did not converge in {ctl.max_terms} terms",
         partial_sum=total,
     )
-
-
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent reproducible generator for task `index` derived from `seed`.
-
-    Distinct (seed, index) pairs give statistically independent streams; the
-    same pair always reproduces the same sequence.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-
-
-def sample_standard_normal(rng: np.random.Generator, size=None):
-    return rng.standard_normal(size)
-
-
-def sample_chi_squared(rng: np.random.Generator, df: float, size=None):
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df}")
-    return rng.chisquare(df, size)

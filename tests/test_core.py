@@ -109,6 +109,9 @@ class TestTypes:
             ProblemConfig(0, 1.0)
         with pytest.raises(ValueError):
             ProblemConfig(3, -1.0)
+        for theta_norm in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ProblemConfig(3, theta_norm)
         with pytest.raises(ValueError):
             ProblemConfig(3, 1.0, seed=-1)
 

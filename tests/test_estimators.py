@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stein_shrink import EstimatorSpec, Kind, ZPoint, apply, parse_spec, shrink_factor
+from stein_shrink import EstimatorSpec, Kind, ZPoint, apply, shrink_factor
 
 
 class TestShrinkFactor:
@@ -101,28 +101,6 @@ class TestApply:
 
 
 class TestSpecParsing:
-    def test_canonical_forms(self):
-        assert parse_spec("identity") == EstimatorSpec.identity()
-        assert parse_spec("ngo") == EstimatorSpec.ngo()
-        assert parse_spec("shrink:C=3.5") == EstimatorSpec.shrink(3.5)
-        assert parse_spec("shrink:C=3.5,a=2") == EstimatorSpec.shrink_a(3.5, 2.0)
-
-    def test_round_trip(self):
-        for spec in (
-            EstimatorSpec.identity(),
-            EstimatorSpec.ngo(),
-            EstimatorSpec.shrink(-1.25),
-            EstimatorSpec.shrink_a(4.0, 0.5),
-        ):
-            assert parse_spec(spec.canonical()) == spec
-
-    @pytest.mark.parametrize(
-        "bad", ["Identity", "shrink", "shrink:C=", "shrink:c=1", "shrink:C=1,a=", "js"]
-    )
-    def test_rejects_anything_else(self, bad):
-        with pytest.raises(ValueError):
-            parse_spec(bad)
-
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
             EstimatorSpec(Kind.SHRINK_CA, c=1.0, a=-1.0)

@@ -12,15 +12,15 @@ from stein_shrink import (
     risk_delta_exact,
     simulate_cloud,
 )
+from stein_shrink.monte_carlo import CHUNK_SIZE
 
 
 class TestSimulateCloud:
     def test_fig2_regime_moments(self):
         cfg = ProblemConfig(20, 25.0, seed=7)
         cloud = simulate_cloud(cfg, 2000)
-        x1 = np.array([pt.x1 for pt in cloud.points])
-        r2 = np.array([pt.r for pt in cloud.points]) ** 2
-        assert len(cloud.points) == 2000
+        x1, r2 = cloud.x1, cloud.r**2
+        assert len(x1) == len(cloud.r) == 2000
         assert abs(x1.mean() - 25.0) <= 4 / math.sqrt(2000)
         assert abs(r2.mean() - 19.0) <= 4 * math.sqrt(38 / 2000)
 
@@ -28,17 +28,17 @@ class TestSimulateCloud:
         cfg = ProblemConfig(5, 2.0, seed=11)
         a = simulate_cloud(cfg, 1500)
         b = simulate_cloud(cfg, 1500)
-        assert a.points == b.points
+        assert np.array_equal(a.x1, b.x1) and np.array_equal(a.r, b.r)
 
     def test_different_seed_differs(self):
         a = simulate_cloud(ProblemConfig(5, 2.0, seed=1), 100)
         b = simulate_cloud(ProblemConfig(5, 2.0, seed=2), 100)
-        assert a.points != b.points
+        assert not np.array_equal(a.x1, b.x1)
 
     def test_single_point(self):
         cloud = simulate_cloud(ProblemConfig(4, 1.0, seed=0), 1)
-        assert len(cloud.points) == 1
-        assert cloud.points[0].r >= 0
+        assert len(cloud.x1) == len(cloud.r) == 1
+        assert cloud.r[0] >= 0
 
     def test_p1_rejected(self):
         with pytest.raises(ValueError):
@@ -95,6 +95,16 @@ class TestDeltaEstimation:
         est = estimate_delta_mc(cfg, EstimatorSpec.shrink_a(3.0, 10.0), 100_000)
         assert est.n == 100_000
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_list_entries_equal_single_calls(self, workers):
+        # n spans three chunks, the last one partial
+        cfg = ProblemConfig(5, 2.0, seed=13)
+        specs = [1.0, 3.0, EstimatorSpec.shrink_a(3.0, 10.0)]
+        n = 2 * CHUNK_SIZE + 1000
+        together = estimate_delta_mc(cfg, specs, n, workers=workers)
+        alone = [estimate_delta_mc(cfg, spec, n, workers=workers) for spec in specs]
+        assert together == alone
+
     def test_paired_beats_unpaired(self):
         p, t, c, n = 8, 3.0, 6.0, 200_000
         paired = estimate_delta_mc(ProblemConfig(p, t, seed=41), c, n)
@@ -107,7 +117,7 @@ class TestDeltaEstimation:
         # sample mean of |X|^2 near theta^2 + p with variance (2p + 4 theta^2)/n
         cfg = ProblemConfig(100, 5.0, seed=17)
         cloud = simulate_cloud(cfg, 100_000)
-        nsq = np.array([pt.x1**2 + pt.r**2 for pt in cloud.points])
+        nsq = cloud.x1**2 + cloud.r**2
         gate = 4 * math.sqrt((2 * 100 + 4 * 25.0) / 100_000)
         assert abs(nsq.mean() - 125.0) <= gate
 
