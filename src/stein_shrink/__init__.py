@@ -29,8 +29,6 @@ from .monte_carlo import (
     simulate_cloud,
 )
 from .special import (
-    SeriesControl,
-    SeriesConvergenceError,
     expected_chi_norm,
     expected_chi_norm_asymptotic,
     inv_noncentral_chisq_mean,

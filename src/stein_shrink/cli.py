@@ -35,11 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v) -> str:
+def _fmt(column: str, v) -> str:
     if isinstance(v, int):
         return str(v)
     if v is None:
         return ""
+    if not math.isfinite(v):
+        raise ArithmeticError(f"{column} is {float(v)}, not a finite number")
     return format(float(v), ".17g")
 
 
@@ -62,7 +64,7 @@ def _write_atomic(path: str, data: str):
 
 def _write_csv(path: str, header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, header, row)) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -91,6 +93,8 @@ def _parse_range(text: str):
         if count < 2:
             raise _UsageError(f"range count must be >= 2 in {text!r}")
         step = (stop - start) / (count - 1)
+        if not math.isfinite(step):
+            raise _UsageError(f"range {text!r} is too wide: its step overflows")
         return [start + i * step for i in range(count - 1)] + [stop]
     return [_finite(text)]
 

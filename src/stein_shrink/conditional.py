@@ -64,7 +64,7 @@ def xi_points(p, theta_norm: float) -> XiPair:
 def conditional_losses(p, theta_norm: float, c: float) -> ConditionalBreakdown:
     """Coordinate-wise loss components at xi_pm and the conditional improvement.
 
-    The identity estimator's conditional risk at either point is exactly p
+    The identity estimator's conditional risk at either point is p itself
     (coordinate-wise 1 and p - 1), so delta = p - (r_cond_1 + r_cond_2).
     """
     pair = xi_points(p, theta_norm)

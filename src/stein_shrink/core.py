@@ -4,7 +4,7 @@ The model is X ~ N(theta, I_p) with sigma^2 = 1 hard-coded.  Because only
 spherically symmetric estimators are of interest, an observation x can be
 reduced to two coordinates: its component along theta and the length of the
 orthogonal residual.  Loss computations are available in both coordinate
-systems and agree exactly.
+systems and agree without approximation.
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ The exact risk improvement of shrinking by c/|X|^2 is
 
     Delta = 2 * E[1/|X|^2] * (c(p-2) - c^2/2),
 
-positive for every theta exactly when 0 < c < 2(p-2).  The cheap approximation
-replaces E[1/|X|^2] by 1/(|theta|^2 + p).
+positive for every theta if and only if 0 < c < 2(p-2).  The cheap
+approximation replaces E[1/|X|^2] by 1/(|theta|^2 + p).
 """
 
 from __future__ import annotations
 
 from .estimators import EstimatorSpec, Kind
-from .special import SeriesControl, inv_noncentral_chisq_mean
+from .special import inv_noncentral_chisq_mean
 
 __all__ = [
     "risk_delta_exact",
@@ -28,16 +28,14 @@ def dominance_quadratic(p, c) -> float:
     return c * (p - 2) - c * c / 2.0
 
 
-def risk_delta_exact(
-    p: int, theta_norm: float, c, ctl: SeriesControl = SeriesControl()
-):
+def risk_delta_exact(p: int, theta_norm: float, c):
     """Exact risk improvement of the c-shrinkage estimator over the identity.
 
     `c` may be an array: the c-free inverse moment is then computed once.
     """
     if p <= 2:
         raise ValueError(f"exact risk difference requires p >= 3, got p={p}")
-    inv_mom = inv_noncentral_chisq_mean(p, theta_norm * theta_norm, ctl)
+    inv_mom = inv_noncentral_chisq_mean(p, theta_norm * theta_norm)
     return 2.0 * inv_mom * dominance_quadratic(p, c)
 
 
@@ -48,12 +46,7 @@ def risk_delta_approx(p: int, theta_norm: float, c):
     return 2.0 / (theta_norm * theta_norm + p) * dominance_quadratic(p, c)
 
 
-def risk_exact(
-    p: int,
-    theta_norm: float,
-    spec: EstimatorSpec,
-    ctl: SeriesControl = SeriesControl(),
-) -> float:
+def risk_exact(p: int, theta_norm: float, spec: EstimatorSpec) -> float:
     """Closed-form risk: p for the identity, p - Delta for the c-shrinkage family.
 
     Only Identity and ShrinkC have closed forms here; ShrinkCa and the NGO tag
@@ -63,7 +56,7 @@ def risk_exact(
     if spec.kind is Kind.IDENTITY:
         return float(p)
     if spec.kind is Kind.SHRINK_C:
-        return p - risk_delta_exact(p, theta_norm, spec.c, ctl)
+        return p - risk_delta_exact(p, theta_norm, spec.c)
     raise ValueError(
         f"no closed-form risk for kind {spec.kind.value}; use Monte Carlo "
         "(NGO is ShrinkC with c = p - 1)"

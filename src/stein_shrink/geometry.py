@@ -9,7 +9,7 @@ equals (1 - (p-1)/|B|^2) B, the shrinkage factor that defines the estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -36,16 +36,19 @@ def ngo_projection(p: int, theta_norm: float) -> GeometryReport:
         raise ValueError("projection degenerate: theta_norm must be > 0")
     a = np.array([theta_norm, 0.0])
     b = np.array([theta_norm, sqrt(p - 1.0)])
-    norm_sq = float(b @ b)
-    factor = 1.0 - (p - 1.0) / norm_sq
+    # |B|^2 overflows from theta_norm ~ 1e154; the factor is then 1 to double
+    # precision, and |B| itself comes from hypot.
+    with np.errstate(over="ignore"):
+        factor = 1.0 - (p - 1.0) / float(b @ b)
+    len_ob = hypot(theta_norm, sqrt(p - 1.0))
     c = factor * b
     return GeometryReport(
         a=a,
         b=b,
         c_point=c,
         len_ab=sqrt(p - 1.0),
-        len_ob=sqrt(norm_sq),
-        len_bc=(p - 1.0) / sqrt(norm_sq),
+        len_ob=len_ob,
+        len_bc=(p - 1.0) / len_ob,
         len_ac=float(np.linalg.norm(a - c)),
         shrink_factor=factor,
     )

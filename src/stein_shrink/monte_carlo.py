@@ -203,8 +203,10 @@ def estimate_exceedance_prob(
     p, t = config.p, config.theta_norm
 
     def chunk(rng, m):
-        x1, r2 = _sample_z(rng, p, t, m)
-        yield x1 * x1 + r2 >= t * t
+        # |X|^2 >= t^2 as z (2t + z) + r2 >= 0 with z = x1 - t: for a huge t,
+        # t + z rounds to t and t * t overflows, and either loses the event.
+        z, r2 = _sample_z(rng, p, 0.0, m)
+        yield z * (2.0 * t + z) + r2 >= 0.0
 
     [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers, min_p=1)
     phat = hits / n

@@ -68,10 +68,10 @@ _GOLDEN_RISK_CURVE = """\
 p,theta,c,delta_exact,delta_approx,delta_mc_mean,delta_mc_stderr
 5,0,1,1.6666666666666665,1,1.6734660906104788,0.0077376936503341567
 5,0,3,3,1.8,3.0611948154943089,0.069639242853007502
-5,5,1,0.191630169712178,0.16666666666666666,0.18161605814096379,0.007922677171157173
-5,5,3,0.34493430548192039,0.29999999999999999,0.31243749624756789,0.025899627963931474
-5,10,1,0.049494841921753102,0.047619047619047623,0.044064694020473562,0.0043672583611382813
-5,10,3,0.089090715459155576,0.085714285714285715,0.072488949660430957,0.013372198311329896
+5,5,1,0.19163016971217833,0.16666666666666666,0.18161605814096379,0.007922677171157173
+5,5,3,0.344934305481921,0.29999999999999999,0.31243749624756789,0.025899627963931474
+5,10,1,0.049494841921753116,0.047619047619047623,0.044064694020473562,0.0043672583611382813
+5,10,3,0.089090715459155617,0.085714285714285715,0.072488949660430957,0.013372198311329896
 """
 
 _GOLDEN_EXCEEDANCE = """\
@@ -142,6 +142,24 @@ class TestExitCodes:
         out = str(tmp_path / "no-such-dir" / "x.csv")
         assert cli.run(["special", "--p", "5", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, column", [
+        (["conditional", "--p", "3", "--theta", "1e160", "--c", "1"], "delta_closed"),
+        (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"], "delta_closed"),
+        (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e200"], "delta_exact"),
+    ], ids=["conditional-huge-theta", "conditional-huge-p", "risk-curve-huge-c"])
+    def test_non_finite_output_is_exit_1(self, tmp_path, capsys, argv, column):
+        out = tmp_path / "x.csv"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        assert f"error: {column} is" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_range_step_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.run(["risk-curve", "--p", "5", "--theta=-1e308:1e308:3",
+                        "--c", "1", "--out", str(out)]) == 2
+        assert "-1e308:1e308:3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputFiles:
@@ -263,3 +281,22 @@ class TestOtherSubcommands:
                         "--seed", "7", "--out", str(out)]) == 0
         _, rows = _read_csv(out)
         assert float(rows[0][2]) > 0.99
+
+    def test_exceedance_at_huge_theta(self, tmp_path):
+        # |X| >= |theta| comes down to the sign of the noise along theta
+        out = tmp_path / "exc.csv"
+        assert cli.run(["exceedance", "--p", "20", "--theta", "1e200", "--n",
+                        "100000", "--seed", "7", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        prob, stderr = float(rows[0][2]), float(rows[0][3])
+        assert stderr > 0
+        assert abs(prob - 0.5) <= 4 * stderr
+
+    def test_geometry_at_huge_theta(self, tmp_path):
+        out = tmp_path / "geom.csv"
+        assert cli.run(["geometry", "--p", "5", "--theta", "1e200",
+                        "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["len_ob"]) == 1e200
+        assert float(row["len_bc"]) == pytest.approx(4e-200)

@@ -1,11 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from stein_shrink import (
-    SeriesControl,
-    SeriesConvergenceError,
     expected_chi_norm,
     expected_chi_norm_asymptotic,
     inv_noncentral_chisq_mean,
@@ -70,10 +69,31 @@ class TestInverseMoment:
         with pytest.raises(ValueError):
             inv_noncentral_chisq_mean(5, -1.0)
 
-    def test_max_terms_exhaustion_carries_partial_sum(self):
-        with pytest.raises(SeriesConvergenceError) as err:
-            inv_noncentral_chisq_mean(5, 1e4, SeriesControl(rel_tol=1e-12, max_terms=3))
-        assert err.value.partial_sum > 0
+    def test_matches_kummer_oracle(self):
+        # E[1/chi^2_p(lam)] = 1F1(1; p/2; -lam/2) / (p - 2), at 40 digits; the
+        # grid spans every decade of lam and both sides of the switch from the
+        # [0, 1] integral to the t-substituted one at lam = 100 - p.
+        def oracle(p, lam):
+            with mpmath.workdps(40):
+                lam = mpmath.mpf(lam)
+                return mpmath.hyp1f1(1, mpmath.mpf(p) / 2, -lam / 2) / (p - 2)
+
+        decades = [1e-8, 1e-4, 1e-2] + [10.0**k for k in range(19)]
+        cases = [(p, lam) for p in (3, 4, 5, 6, 7, 10, 20, 50, 100, 200, 500,
+                                    1000, 10**4, 10**6) for lam in decades]
+        cases += [(p, 100 - p + k / 2) for p in (3, 4, 5, 7, 20, 50)
+                  for k in range(-20, 21)]
+        for p, lam in cases:
+            ref = oracle(p, lam)
+            err = abs((inv_noncentral_chisq_mean(p, lam) - ref) / ref)
+            assert err <= 1e-12, (p, lam, float(err))
+
+    def test_zero_is_closed_form_and_non_finite_raises(self):
+        for p in (3, 4, 5, 20, 10**6):
+            assert inv_noncentral_chisq_mean(p, 0.0) == 1.0 / (p - 2)
+        for lam in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="noncentrality"):
+                inv_noncentral_chisq_mean(5, lam)
 
     def test_jensen_strict_lower_bound(self):
         for p in (3, 5, 10, 20):
@@ -102,11 +122,3 @@ class TestInverseMoment:
                 inv = 1.0 / draws
                 se = inv.std(ddof=1) / math.sqrt(n)
                 assert abs(inv.mean() - inv_noncentral_chisq_mean(p, lam)) <= 4 * se
-
-
-class TestSampling:
-    def test_series_control_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
