@@ -8,17 +8,11 @@ from .conditional import (
     XiPair,
     conditional_delta_closed,
     conditional_losses,
-    dominance_window,
     xi_points,
 )
-from .core import ProblemConfig, ZPoint, squared_error, squared_error_z, z_reduce
-from .estimators import EstimatorSpec, Kind, apply, shrink_factor
-from .exact_risk import (
-    norm_sq_mean,
-    risk_delta_approx,
-    risk_delta_exact,
-    risk_exact,
-)
+from .core import ProblemConfig
+from .estimators import EstimatorSpec, shrink_factor
+from .exact_risk import risk_delta_approx, risk_delta_exact, risk_exact
 from .geometry import GeometryReport, ngo_projection
 from .monte_carlo import (
     CloudSample,

@@ -25,7 +25,7 @@ import numpy as np
 from . import cli
 from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
-from .estimators import EstimatorSpec, apply
+from .estimators import EstimatorSpec, shrink_factor
 from .exact_risk import dominance_quadratic, risk_delta_exact
 from .geometry import ngo_projection
 from .monte_carlo import (
@@ -261,7 +261,8 @@ def c09_cloud_reproduction(seed, fast):
         if code != 0:
             return CriterionResult("C09 cloud regime (p=20, theta=25, n=2000)",
                                    False, f"cloud subcommand exited {code}")
-        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        with open(out) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     x1 = np.array([float(r[1]) for r in rows])
     r2 = np.array([float(r[2]) for r in rows]) ** 2
     n = len(x1)
@@ -284,7 +285,8 @@ def c10_geometry(seed, fast):
             rep = ngo_projection(p, t)
             e1 = abs(rep.len_bc * rep.len_ob - rep.len_ab**2) / rep.len_ab**2
             perp = abs(float((rep.a - rep.c_point) @ rep.b))
-            proj = float(np.max(np.abs(apply(EstimatorSpec.ngo(), rep.b, p) - rep.c_point)))
+            ngo = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b), p) * rep.b
+            proj = float(np.max(np.abs(ngo - rep.c_point)))
             worst = max(worst, e1, perp / max(1.0, rep.len_ob**2), proj)
     ok = worst <= 1e-12
     return CriterionResult(
@@ -342,7 +344,8 @@ def c12_determinism(seed, fast):
                     return CriterionResult(
                         "C12 byte-identical CSV determinism",
                         False, f"{argv[0]} exited {code}")
-                outs.append(open(out, "rb").read())
+                with open(out, "rb") as fh:
+                    outs.append(fh.read())
             if outs[0] != outs[1]:
                 return CriterionResult(
                     "C12 byte-identical CSV determinism",

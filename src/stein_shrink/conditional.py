@@ -20,7 +20,6 @@ __all__ = [
     "xi_points",
     "conditional_losses",
     "conditional_delta_closed",
-    "dominance_window",
 ]
 
 
@@ -101,14 +100,3 @@ def conditional_delta_closed(p, theta_norm: float, c: float) -> float:
         * ((c * (p - 2) - c * c / 2.0) * t2 + (c * p - c * c / 2.0) * p)
     )
 
-
-def dominance_window(p):
-    """Interval of c with positive conditional improvement for ALL theta_norm.
-
-    Returns the open interval (0, 2(p-2)), or None when it is empty (p <= 2).
-    """
-    _check_p(p)
-    hi = 2.0 * (p - 2)
-    if hi <= 0:
-        return None
-    return (0.0, hi)

@@ -1,5 +1,5 @@
 """Closed-form and approximate risk differences between the identity estimator
-and the shrinkage family, plus the |X|^2 mean identity.
+and the shrinkage family.
 
 The exact risk improvement of shrinking by c/|X|^2 is
 
@@ -11,21 +11,26 @@ approximation replaces E[1/|X|^2] by 1/(|theta|^2 + p).
 
 from __future__ import annotations
 
-from .estimators import EstimatorSpec, Kind
+import numpy as np
+
+from .estimators import EstimatorSpec
 from .special import inv_noncentral_chisq_mean
 
 __all__ = [
     "risk_delta_exact",
     "risk_delta_approx",
     "risk_exact",
-    "norm_sq_mean",
     "dominance_quadratic",
 ]
 
 
 def dominance_quadratic(p, c) -> float:
-    """The c-quadratic c(p-2) - c^2/2 shared by the exact and approximate routes."""
-    return c * (p - 2) - c * c / 2.0
+    """The c-quadratic c(p-2) - c^2/2 shared by the exact and approximate routes.
+
+    A huge c overflows to -inf without a warning; the CLI rejects the result.
+    """
+    with np.errstate(over="ignore"):
+        return c * (p - 2) - c * c / 2.0
 
 
 def risk_delta_exact(p: int, theta_norm: float, c):
@@ -47,24 +52,13 @@ def risk_delta_approx(p: int, theta_norm: float, c):
 
 
 def risk_exact(p: int, theta_norm: float, spec: EstimatorSpec) -> float:
-    """Closed-form risk: p for the identity, p - Delta for the c-shrinkage family.
+    """Closed-form risk: p for the identity (c = 0), p - Delta for a = 0.
 
-    Only Identity and ShrinkC have closed forms here; ShrinkCa and the NGO tag
-    are rejected (the NGO estimator itself is reachable as ShrinkC with
-    c = p - 1; ShrinkCa risk is available only by Monte Carlo).
+    The regularized estimators (a > 0) have no closed form here; their risk is
+    available only by Monte Carlo.
     """
-    if spec.kind is Kind.IDENTITY:
+    if spec.c == 0.0:
         return float(p)
-    if spec.kind is Kind.SHRINK_C:
+    if spec.a == 0.0:
         return p - risk_delta_exact(p, theta_norm, spec.c)
-    raise ValueError(
-        f"no closed-form risk for kind {spec.kind.value}; use Monte Carlo "
-        "(NGO is ShrinkC with c = p - 1)"
-    )
-
-
-def norm_sq_mean(p: int, theta_norm: float) -> float:
-    """E|X|^2 = |theta|^2 + p."""
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got p={p}")
-    return theta_norm * theta_norm + p
+    raise ValueError(f"no closed-form risk for a = {spec.a} > 0; use Monte Carlo")

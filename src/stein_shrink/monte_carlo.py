@@ -168,7 +168,7 @@ def estimate_risk_mc(
 def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
     """Paired risk-difference estimate: loss(identity) - loss(spec) on common draws.
 
-    `specs` may be an EstimatorSpec, a bare shrinkage constant c (ShrinkC), or
+    `specs` may be an EstimatorSpec, a bare shrinkage constant c (a = 0), or
     a list of either.  A single spec gives one RiskEstimate; a list gives one
     per entry, all scored on the same draws against one identity loss, and
     each bit-equal to the estimate for that entry alone.  Pairing on the same

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from stein_shrink import (
     conditional_delta_closed,
     conditional_losses,
-    dominance_window,
     xi_points,
 )
 
@@ -116,15 +115,3 @@ class TestClosedForm:
                 assert diff == pytest.approx(-4 * t / prod, rel=1e-12)
                 assert summ == pytest.approx(2 * (t * t + p) / prod, rel=1e-12)
 
-
-class TestDominanceWindow:
-    def test_values(self):
-        assert dominance_window(3) == (0.0, 2.0)
-        assert dominance_window(10) == (0.0, 16.0)
-
-    def test_empty_at_p2(self):
-        assert dominance_window(2) is None
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            dominance_window(1.5)

@@ -5,7 +5,6 @@ from stein_shrink import (
     EstimatorSpec,
     ProblemConfig,
     estimate_delta_mc,
-    norm_sq_mean,
     risk_delta_approx,
     risk_delta_exact,
     risk_exact,
@@ -80,16 +79,7 @@ class TestRiskExact:
 
     def test_unsupported_kinds_redirect_to_mc(self):
         with pytest.raises(ValueError, match="Monte Carlo"):
-            risk_exact(5, 1.0, EstimatorSpec.ngo())
-        with pytest.raises(ValueError, match="Monte Carlo"):
             risk_exact(5, 1.0, EstimatorSpec.shrink_a(1.0, 1.0))
-
-
-class TestNormSqMean:
-    def test_values(self):
-        assert norm_sq_mean(20, 25.0) == pytest.approx(645.0)
-        assert norm_sq_mean(7, 0.0) == pytest.approx(7.0)
-        assert norm_sq_mean(1, 2.0) == pytest.approx(5.0)
 
 
 class TestOracleEquivalence:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stein_shrink import EstimatorSpec, apply, ngo_projection
+from stein_shrink import EstimatorSpec, ngo_projection, shrink_factor
 
 
 class TestNgoProjection:
@@ -57,5 +57,5 @@ class TestProjectionInvariants:
     def test_estimator_apply_matches_projection(self):
         for p, theta in ((3, 1.0), (5, 3.0), (20, 25.0)):
             rep = ngo_projection(p, theta)
-            out = apply(EstimatorSpec.ngo(), rep.b, p)
+            out = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b), p) * rep.b
             assert np.max(np.abs(out - rep.c_point)) <= 1e-12
