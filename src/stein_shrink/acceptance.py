@@ -1,9 +1,10 @@
 """End-to-end verification suite.
 
-Each criterion is a self-contained check with a pinned tolerance; `run_all`
-executes every one and reports PASS/FAIL with a one-line detail.  The same
-functions back both the `verify` CLI subcommand and the pytest acceptance
-module.
+Each criterion is a self-contained check with a pinned tolerance that returns
+(passed, detail).  `_criterion` names and registers it where it is defined, and
+`run_all` runs the criteria in definition order, reporting PASS/FAIL with the
+one-line detail.  The same functions back both the `verify` CLI subcommand and
+the pytest acceptance module.
 
 Monte Carlo gates are multiples of the estimated standard error (4 sigma for
 single checks, 4.5 sigma for grid-wide sweeps).  With the pinned default seed
@@ -15,6 +16,7 @@ replication counts 100-fold and widens the gates to 6 sigma.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -54,6 +56,24 @@ class CriterionResult:
     detail: str
 
 
+_CRITERIA = []
+
+
+def _criterion(name):
+    """Register a (seed, fast) -> (passed, detail) check as the criterion `name`."""
+
+    def register(check):
+        @functools.wraps(check)
+        def criterion(seed, fast):
+            passed, detail = check(seed, fast)
+            return CriterionResult(name, passed, detail)
+
+        _CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
 def _gate(fast):
     return 6.0 if fast else 4.0
 
@@ -66,6 +86,9 @@ def _shrink_n(n, fast):
     return max(1000, n // 100) if fast else n
 
 
+
+
+@_criterion("C01 chi-norm mean table (formula authoritative at p=5)")
 def c01_expected_chi_norm(seed, fast):
     rows = [(10, 2.918), (17, 3.938), (26, 4.950)]
     ok = all(abs(expected_chi_norm(p) - v) <= 1e-3 for p, v in rows)
@@ -73,25 +96,22 @@ def c01_expected_chi_norm(seed, fast):
     # The formula value at p = 5 is 1.880; the printed table value 1.850 is
     # inconsistent with the formula and must NOT be matched.
     ok = ok and abs(v5 - 1.880) <= 1e-3 and abs(v5 - 1.850) > 1e-3
-    return CriterionResult(
-        "C01 chi-norm mean table (formula authoritative at p=5)",
-        ok,
+    return ok, (
         f"E(R): p=10 {expected_chi_norm(10):.4f}, p=17 {expected_chi_norm(17):.4f}, "
-        f"p=26 {expected_chi_norm(26):.4f}, p=5 {v5:.4f} (printed 1.850 rejected)",
+        f"p=26 {expected_chi_norm(26):.4f}, p=5 {v5:.4f} (printed 1.850 rejected)"
     )
 
 
+@_criterion("C02 factor-2 discriminator (p=3, theta=0, c=1)")
 def c02_factor_two(seed, fast):
     n = _shrink_n(10_000_000, fast)
     g = _gate(fast)
     est = estimate_delta_mc(ProblemConfig(3, 0.0, seed), 1.0, n, workers=4)
     near_1 = abs(est.mean - 1.0) <= g * est.stderr
     far_half = abs(est.mean - 0.5) > g * est.stderr
-    return CriterionResult(
-        "C02 factor-2 discriminator (p=3, theta=0, c=1)",
-        near_1 and far_half,
+    return near_1 and far_half, (
         f"paired delta = {est.mean:.5f} +- {est.stderr:.5f} (n={n}); "
-        f"within {g} se of 1.0: {near_1}, outside {g} se of 0.5: {far_half}",
+        f"within {g} se of 1.0: {near_1}, outside {g} se of 0.5: {far_half}"
     )
 
 
@@ -102,6 +122,7 @@ def _grid_cells():
             yield p, t, [1.0, float(p - 2), float(p - 1), 2.0 * (p - 2) - 0.5]
 
 
+@_criterion("C03 exact vs paired-MC risk difference over grid")
 def c03_exact_vs_mc(seed, fast):
     n = _shrink_n(1_000_000, fast)
     g = _grid_gate(fast)
@@ -115,74 +136,45 @@ def c03_exact_vs_mc(seed, fast):
             if z > worst:
                 worst, bad = z, (p, t, c)
             if z > g:
-                return CriterionResult(
-                    "C03 exact vs paired-MC risk difference over grid",
-                    False,
+                return False, (
                     f"cell (p={p}, theta={t}, c={c}): exact {exact:.5f}, "
-                    f"mc {est.mean:.5f} +- {est.stderr:.5f}, z={z:.2f} > {g}",
+                    f"mc {est.mean:.5f} +- {est.stderr:.5f}, z={z:.2f} > {g}"
                 )
-    return CriterionResult(
-        "C03 exact vs paired-MC risk difference over grid",
-        True,
-        f"64 cells, worst |z| = {worst:.2f} at {bad} (gate {g})",
-    )
+    return True, f"64 cells, worst |z| = {worst:.2f} at {bad} (gate {g})"
 
 
+@_criterion("C04 dominance window (0, 2(p-2))")
 def c04_dominance_window(seed, fast):
     for p in _GRID_P:
         hi = 2.0 * (p - 2)
+        inside = [0.05, hi / 4, p - 2.0, hi - 0.05]
         for t in _GRID_THETA:
-            for c in (0.05, hi / 4, p - 2.0, hi - 0.05):
-                if not risk_delta_exact(p, t, c) > 0:
-                    return CriterionResult(
-                        "C04 dominance window (0, 2(p-2))",
-                        False,
-                        f"delta <= 0 inside window at (p={p}, theta={t}, c={c})",
-                    )
-            for c in (0.0, hi):
-                if abs(risk_delta_exact(p, t, c)) > 1e-12:
-                    return CriterionResult(
-                        "C04 dominance window (0, 2(p-2))",
-                        False,
-                        f"delta not 0 at window edge (p={p}, theta={t}, c={c})",
-                    )
-            if not risk_delta_exact(p, t, hi + 0.5) < 0:
-                return CriterionResult(
-                    "C04 dominance window (0, 2(p-2))",
-                    False,
-                    f"delta not negative outside window at (p={p}, theta={t})",
-                )
-    return CriterionResult(
-        "C04 dominance window (0, 2(p-2))",
-        True,
-        "positive inside, 0 at edges (1e-12), negative at 2(p-2)+0.5, all 16 (p, theta)",
-    )
+            deltas = risk_delta_exact(p, t, np.array(inside + [0.0, hi, hi + 0.5]))
+            for c, d in zip(inside, deltas):
+                if not d > 0:
+                    return False, f"delta <= 0 inside window at (p={p}, theta={t}, c={c})"
+            for c, d in zip((0.0, hi), deltas[4:6]):
+                if abs(d) > 1e-12:
+                    return False, f"delta not 0 at window edge (p={p}, theta={t}, c={c})"
+            if not deltas[6] < 0:
+                return False, f"delta not negative outside window at (p={p}, theta={t})"
+    return True, "positive inside, 0 at edges (1e-12), negative at 2(p-2)+0.5, all 16 (p, theta)"
 
 
+@_criterion("C05 optimal constant c = p-2")
 def c05_optimal_constant(seed, fast):
     worst = 0.0
     for p in _GRID_P:
         cs = np.arange(0.0, 2.0 * (p - 2) + 1e-9, 0.01)
-        quad = dominance_quadratic(p, cs)
         for t in _GRID_THETA:
-            # the inverse-moment prefactor is c-free, so the argmax is the
-            # quadratic's; still evaluated through the full exact route
-            scale = 2.0 * inv_noncentral_chisq_mean(p, t * t)
-            c_star = cs[int(np.argmax(scale * quad))]
+            c_star = cs[int(np.argmax(risk_delta_exact(p, t, cs)))]
             worst = max(worst, abs(c_star - (p - 2)))
             if abs(c_star - (p - 2)) > 0.01:
-                return CriterionResult(
-                    "C05 optimal constant c = p-2",
-                    False,
-                    f"argmax {c_star} != {p - 2} at (p={p}, theta={t})",
-                )
-    return CriterionResult(
-        "C05 optimal constant c = p-2",
-        True,
-        f"argmax within {worst:.4f} <= 0.01 of p-2 over all (p, theta)",
-    )
+                return False, f"argmax {c_star} != {p - 2} at (p={p}, theta={t})"
+    return True, f"argmax within {worst:.4f} <= 0.01 of p-2 over all (p, theta)"
 
 
+@_criterion("C06 conditional two-point algebra (direct vs closed form)")
 def c06_conditional_algebra(seed, fast):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -199,15 +191,13 @@ def c06_conditional_algebra(seed, fast):
     d1 = conditional_losses(3, 2.0, 1.0).delta
     d2 = conditional_delta_closed(3, 2.0, 1.0)
     pinned = abs(d1 - 19 / 33) <= 1e-12 and abs(d2 - 19 / 33) <= 1e-12
-    ok = worst <= 1e-12 and pinned
-    return CriterionResult(
-        "C06 conditional two-point algebra (direct vs closed form)",
-        ok,
+    return worst <= 1e-12 and pinned, (
         f"worst relative gap {worst:.2e} over 10^4 draws; "
-        f"(p=3, theta=2, c=1) -> {d1:.15f} vs 19/33 pinned: {pinned}",
+        f"(p=3, theta=2, c=1) -> {d1:.15f} vs 19/33 pinned: {pinned}"
     )
 
 
+@_criterion("C07 inverse-moment approximation quality")
 def c07_approximation_quality(seed, fast):
     jensen_ok = True
     for p in _GRID_P:
@@ -226,15 +216,13 @@ def c07_approximation_quality(seed, fast):
     # Pinning the closed form catches a wrong central moment in either direction.
     g_zero = rel_gap(3, 0.0)
     zero_ok = abs(g_zero - 2.0 / 3.0) <= 1e-12
-    ok = jensen_ok and g_large < 0.01 and zero_ok
-    return CriterionResult(
-        "C07 inverse-moment approximation quality",
-        ok,
+    return jensen_ok and g_large < 0.01 and zero_ok, (
         f"Jensen strict: {jensen_ok}; gap(5, 1e4) = {g_large:.2e} < 1%: {g_large < 0.01}; "
-        f"gap(3, 0) = {g_zero:.6f} = 2/3 (closed form 2/p): {zero_ok}",
+        f"gap(3, 0) = {g_zero:.6f} = 2/3 (closed form 2/p): {zero_ok}"
     )
 
 
+@_criterion("C08 exceedance probability obstruction (inf = 1/2)")
 def c08_exceedance(seed, fast):
     n = _shrink_n(1_000_000, fast)
     g = _gate(fast)
@@ -242,14 +230,13 @@ def c08_exceedance(seed, fast):
     near = estimate_exceedance_prob(ProblemConfig(20, 1.0, seed), n, workers=4)
     ok_far = abs(far.mean - 0.5) <= g * far.stderr
     ok_near = near.mean > 0.99
-    return CriterionResult(
-        "C08 exceedance probability obstruction (inf = 1/2)",
-        ok_far and ok_near,
+    return ok_far and ok_near, (
         f"P(|X|>=|theta|) at theta=1e4: {far.mean:.5f} +- {far.stderr:.5f} "
-        f"(target 0.5); at theta=1: {near.mean:.5f} > 0.99: {ok_near}",
+        f"(target 0.5); at theta=1: {near.mean:.5f} > 0.99: {ok_near}"
     )
 
 
+@_criterion("C09 cloud regime (p=20, theta=25, n=2000)")
 def c09_cloud_reproduction(seed, fast):
     g = _gate(fast)
     with tempfile.TemporaryDirectory() as d:
@@ -259,8 +246,7 @@ def c09_cloud_reproduction(seed, fast):
              "--seed", str(seed), "--out", out]
         )
         if code != 0:
-            return CriterionResult("C09 cloud regime (p=20, theta=25, n=2000)",
-                                   False, f"cloud subcommand exited {code}")
+            return False, f"cloud subcommand exited {code}"
         with open(out) as fh:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     x1 = np.array([float(r[1]) for r in rows])
@@ -270,14 +256,13 @@ def c09_cloud_reproduction(seed, fast):
     ok_r2 = abs(r2.mean() - 19.0) <= g * math.sqrt(38.0 / n)
     nsq = x1 * x1 + r2
     ok_nsq = abs(nsq.mean() - 645.0) <= g * math.sqrt((2 * 20 + 4 * 625.0) / n)
-    return CriterionResult(
-        "C09 cloud regime (p=20, theta=25, n=2000)",
-        ok_x1 and ok_r2 and ok_nsq,
+    return ok_x1 and ok_r2 and ok_nsq, (
         f"mean x1 {x1.mean():.3f} (25), mean r^2 {r2.mean():.3f} (19), "
-        f"mean |Z|^2 {nsq.mean():.2f} (645)",
+        f"mean |Z|^2 {nsq.mean():.2f} (645)"
     )
 
 
+@_criterion("C10 projection geometry and NGO agreement")
 def c10_geometry(seed, fast):
     worst = 0.0
     for p in (2, 3, 5, 10, 20):
@@ -288,14 +273,12 @@ def c10_geometry(seed, fast):
             ngo = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b), p) * rep.b
             proj = float(np.max(np.abs(ngo - rep.c_point)))
             worst = max(worst, e1, perp / max(1.0, rep.len_ob**2), proj)
-    ok = worst <= 1e-12
-    return CriterionResult(
-        "C10 projection geometry and NGO agreement",
-        ok,
-        f"worst identity/perpendicularity/agreement residual {worst:.2e} <= 1e-12",
+    return worst <= 1e-12, (
+        f"worst identity/perpendicularity/agreement residual {worst:.2e} <= 1e-12"
     )
 
 
+@_criterion("C11 regularized-shrinkage asymptotic trend")
 def c11_regularized_trend(seed, fast):
     p, c, a = 5, 3.0, 10.0
     target_product = 2.0 * dominance_quadratic(p, c)  # = 9
@@ -316,13 +299,10 @@ def c11_regularized_trend(seed, fast):
         product = denom * est.mean
         ok = ok and abs(product - target_product) <= tol * target_product
         details.append(f"theta={t:g}: (a+theta^2)*delta = {product:.3f} (n={n})")
-    return CriterionResult(
-        "C11 regularized-shrinkage asymptotic trend",
-        ok,
-        f"target {target_product}, tol {tol:.0%}; " + "; ".join(details),
-    )
+    return ok, f"target {target_product}, tol {tol:.0%}; " + "; ".join(details)
 
 
+@_criterion("C12 byte-identical CSV determinism")
 def c12_determinism(seed, fast):
     n_small = "500"
     invocations = [
@@ -341,44 +321,18 @@ def c12_determinism(seed, fast):
                 out = os.path.join(d, f"{argv[0]}_{rep}.csv")
                 code = cli.run(argv + ["--out", out])
                 if code != 0:
-                    return CriterionResult(
-                        "C12 byte-identical CSV determinism",
-                        False, f"{argv[0]} exited {code}")
+                    return False, f"{argv[0]} exited {code}"
                 with open(out, "rb") as fh:
                     outs.append(fh.read())
             if outs[0] != outs[1]:
-                return CriterionResult(
-                    "C12 byte-identical CSV determinism",
-                    False, f"{argv[0]} output differs between runs")
+                return False, f"{argv[0]} output differs between runs"
     # parallelism independence of the Monte Carlo layer
     cfg = ProblemConfig(5, 3.0, seed)
     serial = estimate_risk_mc(cfg, EstimatorSpec.shrink(3.0), 2_000_000, workers=1)
     threaded = estimate_risk_mc(cfg, EstimatorSpec.shrink(3.0), 2_000_000, workers=4)
     if (serial.mean, serial.stderr) != (threaded.mean, threaded.stderr):
-        return CriterionResult(
-            "C12 byte-identical CSV determinism",
-            False, "risk estimate depends on worker count")
-    return CriterionResult(
-        "C12 byte-identical CSV determinism",
-        True,
-        "6 subcommands byte-identical across runs; MC bit-equal for 1 vs 4 workers",
-    )
-
-
-_CRITERIA = [
-    c01_expected_chi_norm,
-    c02_factor_two,
-    c03_exact_vs_mc,
-    c04_dominance_window,
-    c05_optimal_constant,
-    c06_conditional_algebra,
-    c07_approximation_quality,
-    c08_exceedance,
-    c09_cloud_reproduction,
-    c10_geometry,
-    c11_regularized_trend,
-    c12_determinism,
-]
+        return False, "risk estimate depends on worker count"
+    return True, "6 subcommands byte-identical across runs; MC bit-equal for 1 vs 4 workers"
 
 
 def run_all(seed: int = DEFAULT_SEED, fast: bool = False) -> list:

@@ -67,23 +67,14 @@ def conditional_losses(p, theta_norm: float, c: float) -> ConditionalBreakdown:
     (coordinate-wise 1 and p - 1), so delta = p - (r_cond_1 + r_cond_2).
     """
     pair = xi_points(p, theta_norm)
-    out = {}
-    for sign, nsq in (("plus", pair.norm_sq_plus), ("minus", pair.norm_sq_minus)):
-        u = theta_norm + 1.0 if sign == "plus" else theta_norm - 1.0
-        pm = 1.0 if sign == "plus" else -1.0
-        l1 = (pm - (c / nsq) * u) ** 2
-        l2 = (1.0 - c / nsq) ** 2 * (p - 1)
-        out[sign] = (l1, l2)
-    r1 = (out["plus"][0] + out["minus"][0]) / 2.0
-    r2 = (out["plus"][1] + out["minus"][1]) / 2.0
+    (l_plus_1, l_plus_2), (l_minus_1, l_minus_2) = [
+        ((e - (c / nsq) * (theta_norm + e)) ** 2, (1.0 - c / nsq) ** 2 * (p - 1))
+        for e, nsq in ((1.0, pair.norm_sq_plus), (-1.0, pair.norm_sq_minus))
+    ]
+    r1 = (l_plus_1 + l_minus_1) / 2.0
+    r2 = (l_plus_2 + l_minus_2) / 2.0
     return ConditionalBreakdown(
-        l_plus_1=out["plus"][0],
-        l_plus_2=out["plus"][1],
-        l_minus_1=out["minus"][0],
-        l_minus_2=out["minus"][1],
-        r_cond_1=r1,
-        r_cond_2=r2,
-        delta=p - (r1 + r2),
+        l_plus_1, l_plus_2, l_minus_1, l_minus_2, r1, r2, delta=p - (r1 + r2)
     )
 
 

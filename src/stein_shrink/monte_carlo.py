@@ -3,8 +3,6 @@ estimation with common random numbers, and the exceedance probability.
 
 Sampling happens in the reduced two-coordinate system (one normal plus one
 chi-square draw per replication), so cost is independent of the dimension p.
-A full-vector sampling path exists solely so the two routes can be checked
-against each other.
 
 Replications are split into fixed-size chunks; each chunk owns an RNG stream
 derived deterministically from (seed, operation tag, chunk index), and chunk
@@ -39,7 +37,6 @@ _TAG_CLOUD = 1
 _TAG_RISK = 2
 _TAG_DELTA = 3
 _TAG_EXCEED = 4
-_TAG_RISK_FULL = 5
 
 
 @dataclass(frozen=True)
@@ -132,36 +129,16 @@ def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
 
 
 def estimate_risk_mc(
-    config: ProblemConfig,
-    spec: EstimatorSpec,
-    n: int,
-    via_full_vectors: bool = False,
-    workers: int = 1,
+    config: ProblemConfig, spec: EstimatorSpec, n: int, workers: int = 1
 ) -> RiskEstimate:
-    """Empirical risk of the estimator: mean squared error over n replications.
-
-    With `via_full_vectors`, whole p-vectors X ~ N(theta, I_p) are drawn and
-    the loss is taken in full coordinates, independent of the reduction.
-    """
+    """Empirical risk of the estimator: mean squared error over n replications."""
     p, t = config.p, config.theta_norm
-    if via_full_vectors:
-        theta = np.zeros(p)
-        theta[0] = t
 
-        def chunk(rng, m):
-            x = theta + rng.standard_normal((m, p))
-            f = shrink_factor(spec, np.einsum("ij,ij->i", x, x), p)
-            d = f[:, None] * x - theta
-            yield np.einsum("ij,ij->i", d, d)
+    def chunk(rng, m):
+        x1, r2 = _sample_z(rng, p, t, m)
+        yield _loss_z(spec, x1, r2, t, p)
 
-    else:
-
-        def chunk(rng, m):
-            x1, r2 = _sample_z(rng, p, t, m)
-            yield _loss_z(spec, x1, r2, t, p)
-
-    tag = _TAG_RISK_FULL if via_full_vectors else _TAG_RISK
-    [(total, total_sq)] = _sums(config, tag, n, chunk, workers)
+    [(total, total_sq)] = _sums(config, _TAG_RISK, n, chunk, workers)
     return _moments_to_estimate(total, total_sq, n)
 
 

@@ -7,6 +7,9 @@ E[1/chi^2_p] = 1/(p-2) exactly, so the gap is 1 - (p-2)/p.  It also checks
 Jensen's strict lower bound on a grid and a gap below 1% at (p=5, lambda=1e4).
 """
 
+import re
+
+import numpy as np
 import pytest
 
 from stein_shrink import acceptance
@@ -29,3 +32,46 @@ def test_criterion(criterion):
     result = _get(criterion)
     print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_registry_lists_every_criterion_once_in_definition_order():
+    defined = [name for name in vars(acceptance) if re.fullmatch(r"c\d\d_\w+", name)]
+    assert len(defined) == 12
+    assert defined == [fn.__name__ for fn in acceptance._CRITERIA]
+
+
+_NUMBER = r"-?\d+\.\d+"
+
+
+@pytest.mark.parametrize(
+    "criterion, name, detail",
+    [
+        (
+            acceptance.c03_exact_vs_mc,
+            "C03 exact vs paired-MC risk difference over grid",
+            # the shape perfbench/workloads.py parses to tag a p = 3 gate trip
+            rf"cell \(p=3, theta={_NUMBER}, c={_NUMBER}\): exact {_NUMBER}, "
+            rf"mc {_NUMBER} \+- {_NUMBER}, z={_NUMBER} > 4\.5",
+        ),
+        (
+            acceptance.c04_dominance_window,
+            "C04 dominance window (0, 2(p-2))",
+            re.escape("delta not 0 at window edge (p=3, theta=0.0, c=2.0)"),
+        ),
+        (
+            acceptance.c05_optimal_constant,
+            "C05 optimal constant c = p-2",
+            re.escape("argmax 1.25 != 1 at (p=3, theta=0.0)"),
+        ),
+    ],
+    ids=["c03", "c04", "c05"],
+)
+def test_wrong_exact_risk_fails_under_own_name(monkeypatch, criterion, name, detail):
+    # Adding c/2 shifts C03's first cell by 0.5 (many standard errors), lifts
+    # the window edge c = 2(p-2) off zero and moves the argmax off p-2.
+    exact = acceptance.risk_delta_exact
+    monkeypatch.setattr(acceptance, "risk_delta_exact",
+                        lambda p, t, c: exact(p, t, c) + 0.5 * np.asarray(c))
+    result = criterion(acceptance.DEFAULT_SEED, False)
+    assert (result.name, result.passed) == (name, False)
+    assert re.fullmatch(detail, result.detail), result.detail

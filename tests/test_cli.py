@@ -302,3 +302,10 @@ class TestOtherSubcommands:
         row = dict(zip(header, rows[0]))
         assert float(row["len_ob"]) == 1e200
         assert float(row["len_bc"]) == pytest.approx(4e-200)
+
+
+class TestVerify:
+    def test_fast_mode_passes_every_criterion_in_order(self, capsys):
+        assert cli.run(["verify", "--fast", "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:9] for line in lines] == [f"PASS  C{i:02d}" for i in range(1, 13)]
