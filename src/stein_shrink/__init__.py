@@ -5,10 +5,8 @@ seeded Monte Carlo verification of all of it.
 
 from .conditional import (
     ConditionalBreakdown,
-    XiPair,
     conditional_delta_closed,
     conditional_losses,
-    xi_points,
 )
 from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor

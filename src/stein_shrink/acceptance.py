@@ -9,9 +9,10 @@ the pytest acceptance module.
 Monte Carlo gates are multiples of the estimated standard error (4 sigma for
 single checks, 4.5 sigma for grid-wide sweeps).  With the pinned default seed
 these are deterministic.  Over other seeds they trip more often than a normal
-z would: C03 failed at 4 of 83 seeds tried and C02 at 3 of 200, every time at
-p = 3, where the paired difference has infinite variance.  Fast mode shrinks
-replication counts 100-fold and widens the gates to 6 sigma.
+z would, every time at p = 3, where the paired difference has infinite
+variance: C03 is known to trip at seeds 7, 44, 51, 157, 183 and 185, and C02
+at 11, 38 and 176.  Fast mode shrinks replication counts 100-fold and widens
+the gates to 6 sigma.
 """
 
 from __future__ import annotations

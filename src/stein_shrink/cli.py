@@ -109,10 +109,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="stein-shrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
+    def add(name, run, help):
+        command = sub.add_parser(name, help=help)
+        command.set_defaults(run=run)
+        return command
 
-    c = add("cloud", help="simulate reduced observations")
+    c = add("cloud", _cmd_cloud, "simulate reduced observations")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--theta", type=_finite, required=True)
     c.add_argument("--n", type=int, required=True)
@@ -120,7 +122,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", required=True)
     c.add_argument("--svg")
 
-    r = add("risk-curve", help="risk-difference sweep, exact/approx/optional MC")
+    r = add("risk-curve", _cmd_risk_curve, "risk-difference sweep, exact/approx/optional MC")
     r.add_argument("--p", type=int, required=True)
     r.add_argument("--theta", required=True)
     r.add_argument("--c", required=True)
@@ -129,47 +131,50 @@ def _build_parser() -> _Parser:
     r.add_argument("--mc-n", type=int, dest="mc_n")
     r.add_argument("--svg")
 
-    k = add("conditional", help="two-point conditional loss breakdown")
+    k = add("conditional", _cmd_conditional, "two-point conditional loss breakdown")
     k.add_argument("--p", type=_finite, required=True)
     k.add_argument("--theta", type=_finite, required=True)
     k.add_argument("--c", type=_finite, required=True)
     k.add_argument("--out", required=True)
 
-    g = add("geometry", help="projection construction report")
+    g = add("geometry", _cmd_geometry, "projection construction report")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--theta", type=_finite, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--svg")
 
-    s = add("special", help="exact and asymptotic chi-norm means")
+    s = add("special", _cmd_special, "exact and asymptotic chi-norm means")
     s.add_argument("--p", required=True)
     s.add_argument("--out", required=True)
 
-    e = add("exceedance", help="empirical P(|X| >= |theta|)")
+    e = add("exceedance", _cmd_exceedance, "empirical P(|X| >= |theta|)")
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--theta", type=_finite, required=True)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", required=True)
 
-    v = add("verify", help="run the acceptance suite")
+    v = add("verify", _cmd_verify, "run the acceptance suite")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--fast", action="store_true")
     return parser
 
 
+def _emit(args, header, rows, plot=None) -> int:
+    """Write rows to --out as CSV, then, given --svg, render_scatter(**plot) to it."""
+    _write_csv(args.out, header, rows)
+    if plot is not None and args.svg:
+        _write_atomic(args.svg, render_scatter(**plot))
+    return 0
+
+
 def _cmd_cloud(args) -> int:
     sample = simulate_cloud(ProblemConfig(args.p, args.theta, args.seed), args.n)
     x1, r = sample.x1.tolist(), sample.r.tolist()
-    _write_csv(args.out, ["idx", "x1", "r"], zip(range(len(x1)), x1, r))
-    if args.svg:
-        svg = render_scatter(
-            x1, r,
-            title=f"Reduced observations, p={args.p}, theta={args.theta:g}",
-            xlabel="x1", ylabel="r",
-        )
-        _write_atomic(args.svg, svg)
-    return 0
+    return _emit(args, ["idx", "x1", "r"], zip(range(len(x1)), x1, r), plot=dict(
+        xs=x1, ys=r, title=f"Reduced observations, p={args.p}, theta={args.theta:g}",
+        xlabel="x1", ylabel="r",
+    ))
 
 
 def _cmd_risk_curve(args) -> int:
@@ -192,46 +197,39 @@ def _cmd_risk_curve(args) -> int:
             rows.append((args.p, t, c, ex, ap, mean, stderr))
     header = ["p", "theta", "c", "delta_exact", "delta_approx",
               "delta_mc_mean", "delta_mc_stderr"]
-    _write_csv(args.out, header, rows)
-    if args.svg:
-        svg = render_scatter(
-            [row[1] for row in rows], [row[3] for row in rows],
-            title=f"Exact risk difference, p={args.p}",
-            xlabel="theta", ylabel="delta", mode="line",
-        )
-        _write_atomic(args.svg, svg)
-    return 0
+    return _emit(args, header, rows, plot=dict(
+        xs=[row[1] for row in rows], ys=[row[3] for row in rows],
+        title=f"Exact risk difference, p={args.p}",
+        xlabel="theta", ylabel="delta", mode="line",
+    ))
 
 
 def _cmd_conditional(args) -> int:
     b = conditional_losses(args.p, args.theta, args.c)
     closed = conditional_delta_closed(args.p, args.theta, args.c)
-    _write_csv(
-        args.out,
+    return _emit(
+        args,
         ["p", "theta", "c", "l_plus_1", "l_plus_2", "l_minus_1", "l_minus_2",
          "delta_direct", "delta_closed"],
         [(args.p, args.theta, args.c, b.l_plus_1, b.l_plus_2,
           b.l_minus_1, b.l_minus_2, b.delta, closed)],
     )
-    return 0
 
 
 def _cmd_geometry(args) -> int:
     rep = ngo_projection(args.p, args.theta)
-    _write_csv(
-        args.out,
+    return _emit(
+        args,
         ["ax", "ay", "bx", "by", "cx", "cy",
          "len_ab", "len_ob", "len_bc", "shrink_factor"],
         [(rep.a[0], rep.a[1], rep.b[0], rep.b[1], rep.c_point[0], rep.c_point[1],
           rep.len_ab, rep.len_ob, rep.len_bc, rep.shrink_factor)],
+        plot=dict(
+            xs=[0.0, rep.a[0], rep.b[0], rep.c_point[0]],
+            ys=[0.0, rep.a[1], rep.b[1], rep.c_point[1]],
+            title="O, A, B and the projected point", xlabel="x1", ylabel="r",
+        ),
     )
-    if args.svg:
-        xs = [0.0, rep.a[0], rep.b[0], rep.c_point[0]]
-        ys = [0.0, rep.a[1], rep.b[1], rep.c_point[1]]
-        svg = render_scatter(xs, ys, title="O, A, B and the projected point",
-                             xlabel="x1", ylabel="r")
-        _write_atomic(args.svg, svg)
-    return 0
 
 
 def _cmd_special(args) -> int:
@@ -240,17 +238,13 @@ def _cmd_special(args) -> int:
     except ValueError:
         raise _UsageError(f"bad dimension list {args.p!r}") from None
     rows = [(p, expected_chi_norm(p), expected_chi_norm_asymptotic(p)) for p in ps]
-    _write_csv(args.out, ["p", "e_r_exact", "e_r_asymptotic"], rows)
-    return 0
+    return _emit(args, ["p", "e_r_exact", "e_r_asymptotic"], rows)
 
 
 def _cmd_exceedance(args) -> int:
-    est = estimate_exceedance_prob(
-        ProblemConfig(args.p, args.theta, args.seed), args.n
-    )
-    _write_csv(args.out, ["p", "theta", "prob", "stderr"],
-               [(args.p, args.theta, est.mean, est.stderr)])
-    return 0
+    est = estimate_exceedance_prob(ProblemConfig(args.p, args.theta, args.seed), args.n)
+    return _emit(args, ["p", "theta", "prob", "stderr"],
+                 [(args.p, args.theta, est.mean, est.stderr)])
 
 
 def _cmd_verify(args) -> int:
@@ -266,17 +260,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
-    "cloud": _cmd_cloud,
-    "risk-curve": _cmd_risk_curve,
-    "conditional": _cmd_conditional,
-    "geometry": _cmd_geometry,
-    "special": _cmd_special,
-    "exceedance": _cmd_exceedance,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -287,7 +270,7 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,23 +12,8 @@ p may be any real >= 2 here; the algebra is polynomial in p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
-__all__ = [
-    "XiPair",
-    "ConditionalBreakdown",
-    "xi_points",
-    "conditional_losses",
-    "conditional_delta_closed",
-]
-
-
-@dataclass(frozen=True)
-class XiPair:
-    xi_plus: tuple
-    xi_minus: tuple
-    norm_sq_plus: float
-    norm_sq_minus: float
+__all__ = ["ConditionalBreakdown", "conditional_losses", "conditional_delta_closed"]
 
 
 @dataclass(frozen=True)
@@ -37,45 +22,33 @@ class ConditionalBreakdown:
     l_plus_2: float
     l_minus_1: float
     l_minus_2: float
-    r_cond_1: float
-    r_cond_2: float
     delta: float
 
 
-def _check_p(p):
+def _norms_sq(p, theta_norm: float):
+    """(|xi_plus|^2, |xi_minus|^2) = ((theta_norm +- 1)^2 + p - 1)."""
     if p < 2:
         raise ValueError(f"two-point model requires p >= 2, got p={p}")
-
-
-def xi_points(p, theta_norm: float) -> XiPair:
-    """The surrogate pair (theta_norm +- 1, sqrt(p-1)) and its squared norms."""
-    _check_p(p)
-    s = sqrt(p - 1)
+    if theta_norm < 0:
+        raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     up, um = theta_norm + 1.0, theta_norm - 1.0
-    return XiPair(
-        xi_plus=(up, s),
-        xi_minus=(um, s),
-        norm_sq_plus=up * up + (p - 1),
-        norm_sq_minus=um * um + (p - 1),
-    )
+    return up * up + (p - 1), um * um + (p - 1)
 
 
 def conditional_losses(p, theta_norm: float, c: float) -> ConditionalBreakdown:
     """Coordinate-wise loss components at xi_pm and the conditional improvement.
 
-    The identity estimator's conditional risk at either point is p itself
-    (coordinate-wise 1 and p - 1), so delta = p - (r_cond_1 + r_cond_2).
+    The conditional risk is r_cond_1 + r_cond_2, with r_cond_k = (l_plus_k +
+    l_minus_k)/2 the mean loss in coordinate k (along theta, then across it).
+    The identity's is p (coordinate-wise 1 and p - 1), so delta = p - (r_cond_1
+    + r_cond_2).
     """
-    pair = xi_points(p, theta_norm)
     (l_plus_1, l_plus_2), (l_minus_1, l_minus_2) = [
         ((e - (c / nsq) * (theta_norm + e)) ** 2, (1.0 - c / nsq) ** 2 * (p - 1))
-        for e, nsq in ((1.0, pair.norm_sq_plus), (-1.0, pair.norm_sq_minus))
+        for e, nsq in zip((1.0, -1.0), _norms_sq(p, theta_norm))
     ]
-    r1 = (l_plus_1 + l_minus_1) / 2.0
-    r2 = (l_plus_2 + l_minus_2) / 2.0
-    return ConditionalBreakdown(
-        l_plus_1, l_plus_2, l_minus_1, l_minus_2, r1, r2, delta=p - (r1 + r2)
-    )
+    delta = p - ((l_plus_1 + l_minus_1) / 2.0 + (l_plus_2 + l_minus_2) / 2.0)
+    return ConditionalBreakdown(l_plus_1, l_plus_2, l_minus_1, l_minus_2, delta)
 
 
 def conditional_delta_closed(p, theta_norm: float, c: float) -> float:
@@ -83,11 +56,10 @@ def conditional_delta_closed(p, theta_norm: float, c: float) -> float:
 
     [2 / (|xi+|^2 |xi-|^2)] * [(c(p-2) - c^2/2) theta_norm^2 + (cp - c^2/2) p].
     """
-    pair = xi_points(p, theta_norm)
+    norm_sq_plus, norm_sq_minus = _norms_sq(p, theta_norm)
     t2 = theta_norm * theta_norm
     return (
         2.0
-        / (pair.norm_sq_plus * pair.norm_sq_minus)
+        / (norm_sq_plus * norm_sq_minus)
         * ((c * (p - 2) - c * c / 2.0) * t2 + (c * p - c * c / 2.0) * p)
     )
-

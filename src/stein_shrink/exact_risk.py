@@ -40,6 +40,8 @@ def risk_delta_exact(p: int, theta_norm: float, c):
     """
     if p <= 2:
         raise ValueError(f"exact risk difference requires p >= 3, got p={p}")
+    if theta_norm < 0:
+        raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     inv_mom = inv_noncentral_chisq_mean(p, theta_norm * theta_norm)
     return 2.0 * inv_mom * dominance_quadratic(p, c)
 
@@ -48,6 +50,8 @@ def risk_delta_approx(p: int, theta_norm: float, c):
     """Approximate risk improvement 2/(|theta|^2 + p) * (c(p-2) - c^2/2)."""
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got p={p}")
+    if theta_norm < 0:
+        raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     return 2.0 / (theta_norm * theta_norm + p) * dominance_quadratic(p, c)
 
 

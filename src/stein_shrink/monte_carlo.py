@@ -55,14 +55,12 @@ class CloudSample:
     config: ProblemConfig
 
 
-def _map_chunks(config, tag, n, chunk_fn, workers=1, min_p=2, min_n=2):
+def _map_chunks(config, tag, n, chunk_fn, workers=1, min_n=2):
     """Run chunk_fn(rng, count) over fixed-size chunks; results in chunk order.
 
     Chunk i draws from SeedSequence([seed, tag, i]), so the result does not
     depend on `workers`.
     """
-    if config.p < min_p:
-        raise ValueError(f"Monte Carlo requires p >= {min_p}, got p={config.p}")
     if n < min_n:
         raise ValueError(f"need n >= {min_n}, got {n}")
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
@@ -77,7 +75,7 @@ def _map_chunks(config, tag, n, chunk_fn, workers=1, min_p=2, min_n=2):
         return list(ex.map(run, range(len(counts))))
 
 
-def _sums(config, tag, n, values_fn, workers=1, min_p=2):
+def _sums(config, tag, n, values_fn, workers=1):
     """(sum, sum of squares) over n draws of each array values_fn(rng, count) yields."""
 
     def sum_sq(v):
@@ -87,7 +85,7 @@ def _sums(config, tag, n, values_fn, workers=1, min_p=2):
         # map keeps no yielded array past its reduction, so one is alive at a time
         return list(map(sum_sq, values_fn(rng, m)))
 
-    parts = _map_chunks(config, tag, n, chunk, workers, min_p)
+    parts = _map_chunks(config, tag, n, chunk, workers)
     return [
         (sum(part[k][0] for part in parts), sum(part[k][1] for part in parts))
         for k in range(len(parts[0]))
@@ -98,6 +96,12 @@ def _moments_to_estimate(total, total_sq, n):
     mean = total / n
     var = max(0.0, (total_sq - total * total / n) / (n - 1))
     return RiskEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
+
+
+def _check_finite_risk(p, specs):
+    """At p <= 2, E[1/|X|^2] diverges, so c/|x|^2 shrinkage has infinite risk."""
+    if p <= 2 and any(spec.a == 0.0 and spec.c != 0.0 for spec in specs):
+        raise ValueError(f"risk of c/|x|^2 shrinkage (a = 0) is infinite at p={p} <= 2")
 
 
 def _sample_z(rng, p, theta_norm, m):
@@ -133,6 +137,7 @@ def estimate_risk_mc(
 ) -> RiskEstimate:
     """Empirical risk of the estimator: mean squared error over n replications."""
     p, t = config.p, config.theta_norm
+    _check_finite_risk(p, [spec])
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, p, t, m)
@@ -158,6 +163,7 @@ def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
         for s in ([specs] if single else specs)
     ]
     p, t = config.p, config.theta_norm
+    _check_finite_risk(p, specs)
     identity = EstimatorSpec.identity()
 
     def chunk(rng, m):
@@ -185,6 +191,6 @@ def estimate_exceedance_prob(
         z, r2 = _sample_z(rng, p, 0.0, m)
         yield z * (2.0 * t + z) + r2 >= 0.0
 
-    [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers, min_p=1)
+    [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers)
     phat = hits / n
     return RiskEstimate(mean=phat, stderr=math.sqrt(phat * (1 - phat) / n), n=n)

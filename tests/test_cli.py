@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +159,20 @@ class TestExitCodes:
         assert line.startswith(f"error: {column} is")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["risk-curve", "--p", "5", "--theta", "-1", "--c", "1"],
+        ["risk-curve", "--p", "5", "--theta", "-1", "--c", "1", "--mc-n", "100"],
+        ["conditional", "--p", "3", "--theta", "-1", "--c", "1"],
+        ["cloud", "--p", "5", "--theta", "-1", "--n", "10"],
+        ["exceedance", "--p", "20", "--theta", "-1", "--n", "100"],
+    ], ids=["risk-curve", "risk-curve-mc", "conditional", "cloud", "exceedance"])
+    def test_negative_theta_is_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: theta_norm must be >= 0, got -1.0"
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_range_step_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli.run(["risk-curve", "--p", "5", "--theta=-1e308:1e308:3",
@@ -239,6 +256,13 @@ class TestRiskCurve:
         # MC columns empty without --mc-n
         assert first[5] == "" and first[6] == ""
 
+    def test_svg_output(self, tmp_path):
+        out, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        assert cli.run(["risk-curve", "--p", "5", "--theta", "0:10:5", "--c", "1",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "<polyline" in text
+
     def test_mc_columns_populated(self, tmp_path):
         out = tmp_path / "curve.csv"
         cli.run(["risk-curve", "--p", "5", "--theta", "2", "--c", "1,3",
@@ -268,6 +292,12 @@ class TestOtherSubcommands:
         assert float(row["cx"]) == pytest.approx(27 / 13)
         assert float(row["shrink_factor"]) == pytest.approx(9 / 13)
         assert float(row["len_bc"]) == pytest.approx(4 / math.sqrt(13))
+
+    def test_geometry_svg_marks_o_a_b_c(self, tmp_path):
+        out, svg = tmp_path / "geom.csv", tmp_path / "geom.svg"
+        assert cli.run(["geometry", "--p", "5", "--theta", "3",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        assert svg.read_text().count("<circle") == 4
 
     def test_special_table(self, tmp_path):
         out = tmp_path / "special.csv"
@@ -309,3 +339,27 @@ class TestVerify:
         assert cli.run(["verify", "--fast", "--seed", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line[:9] for line in lines] == [f"PASS  C{i:02d}" for i in range(1, 13)]
+
+
+class TestEntryPoint:
+    """`python -m stein_shrink.cli` in a fresh interpreter, through main()."""
+
+    @staticmethod
+    def _main(*argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "stein_shrink.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+
+    def test_writes_what_run_writes(self, tmp_path):
+        out, ref = tmp_path / "main.csv", tmp_path / "run.csv"
+        proc = self._main("special", "--p", "5", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert cli.run(["special", "--p", "5", "--out", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_usage_error_exits_2(self):
+        proc = self._main("cloud", "--p", "5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")

@@ -1,36 +1,13 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stein_shrink import (
-    conditional_delta_closed,
-    conditional_losses,
-    xi_points,
-)
+from stein_shrink import conditional_delta_closed, conditional_losses
 
 
-class TestXiPoints:
-    def test_hand_values_p3(self):
-        pair = xi_points(3, 2.0)
-        assert pair.xi_plus == pytest.approx((3.0, math.sqrt(2)))
-        assert pair.xi_minus == pytest.approx((1.0, math.sqrt(2)))
-        assert pair.norm_sq_plus == pytest.approx(11.0)
-        assert pair.norm_sq_minus == pytest.approx(3.0)
-
-    def test_fig2_regime(self):
-        pair = xi_points(20, 25.0)
-        assert pair.xi_plus == pytest.approx((26.0, math.sqrt(19)))
-        assert pair.norm_sq_plus == pytest.approx(695.0)
-
-    def test_symmetric_at_origin(self):
-        pair = xi_points(8, 0.0)
-        assert pair.norm_sq_plus == pair.norm_sq_minus == pytest.approx(8.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            xi_points(1, 1.0)
+def _norms_sq(p, t):
+    """|xi_plus|^2 and |xi_minus|^2 of the pair (t +- 1, sqrt(p - 1))."""
+    return (t + 1) ** 2 + p - 1, (t - 1) ** 2 + p - 1
 
 
 class TestConditionalLosses:
@@ -51,14 +28,32 @@ class TestConditionalLosses:
 
     def test_breakdown_internal_identities(self):
         b = conditional_losses(6, 3.0, 2.5)
-        assert b.r_cond_1 == pytest.approx((b.l_plus_1 + b.l_minus_1) / 2)
-        assert b.r_cond_2 == pytest.approx((b.l_plus_2 + b.l_minus_2) / 2)
-        assert b.delta == pytest.approx(6 - (b.r_cond_1 + b.r_cond_2))
+        both = (b.l_plus_1 + b.l_minus_1) + (b.l_plus_2 + b.l_minus_2)
+        assert b.delta == pytest.approx(6 - both / 2)
+
+    def test_symmetric_at_origin(self):
+        b = conditional_losses(8, 0.0, 3.0)
+        assert b.l_plus_1 == b.l_minus_1 == pytest.approx((1 - 3 / 8) ** 2)
+        assert b.l_plus_2 == b.l_minus_2 == pytest.approx((1 - 3 / 8) ** 2 * 7)
+        # |xi_plus|^2 = |xi_minus|^2 = p, so the closed form is 2c - c^2/p
+        assert conditional_delta_closed(8, 0.0, 3.0) == pytest.approx(6 - 9 / 8)
+
+    def test_domain(self):
+        for route in (conditional_losses, conditional_delta_closed):
+            with pytest.raises(ValueError, match="p >= 2"):
+                route(1, 1.0, 1.0)
+            with pytest.raises(ValueError, match="theta_norm must be >= 0"):
+                route(3, -1.0, 1.0)
 
 
 class TestClosedForm:
     def test_worked_instance(self):
         assert conditional_delta_closed(3, 2.0, 1.0) == pytest.approx(19 / 33, rel=1e-12)
+
+    def test_fig2_regime(self):
+        # |xi_plus|^2 = 26^2 + 19 = 695 and |xi_minus|^2 = 24^2 + 19 = 595
+        want = 2 / (695 * 595) * ((18 * 18 - 162) * 625 + (18 * 20 - 162) * 20)
+        assert conditional_delta_closed(20, 25.0, 18.0) == pytest.approx(want, rel=1e-12)
 
     def test_c_zero(self):
         assert conditional_delta_closed(9, 5.0, 0.0) == 0.0
@@ -84,10 +79,10 @@ class TestClosedForm:
         for p in (3, 5, 20):
             for t in (0.5, 2.0, 30.0):
                 for c in (0.5, p - 2.0, p - 1.0):
-                    pair = xi_points(p, t)
-                    bound = (
-                        2 * (t * t + p) / (pair.norm_sq_plus * pair.norm_sq_minus)
-                    ) * (c * (p - 2) - c * c / 2)
+                    nsq_plus, nsq_minus = _norms_sq(p, t)
+                    bound = (2 * (t * t + p) / (nsq_plus * nsq_minus)) * (
+                        c * (p - 2) - c * c / 2
+                    )
                     assert conditional_delta_closed(p, t, c) > bound
 
     def test_window_sharpness(self):
@@ -98,8 +93,8 @@ class TestClosedForm:
     def test_first_term_sign(self):
         for p in (3, 10):
             for t, c in ((0.0, 1.0), (2.0, 0.0), (2.0, 1.0), (50.0, 3.0)):
-                pair = xi_points(p, t)
-                cross = c * t * (1 / pair.norm_sq_plus - 1 / pair.norm_sq_minus)
+                nsq_plus, nsq_minus = _norms_sq(p, t)
+                cross = c * t * (1 / nsq_plus - 1 / nsq_minus)
                 if t == 0.0 or c == 0.0:
                     assert cross == pytest.approx(0.0, abs=1e-15)
                 else:
@@ -108,10 +103,10 @@ class TestClosedForm:
     def test_reciprocal_identities(self):
         for p in (2.5, 3, 12):
             for t in (0.3, 2.0, 40.0):
-                pair = xi_points(p, t)
-                prod = pair.norm_sq_plus * pair.norm_sq_minus
-                diff = 1 / pair.norm_sq_plus - 1 / pair.norm_sq_minus
-                summ = 1 / pair.norm_sq_plus + 1 / pair.norm_sq_minus
+                nsq_plus, nsq_minus = _norms_sq(p, t)
+                prod = nsq_plus * nsq_minus
+                diff = 1 / nsq_plus - 1 / nsq_minus
+                summ = 1 / nsq_plus + 1 / nsq_minus
                 assert diff == pytest.approx(-4 * t / prod, rel=1e-12)
                 assert summ == pytest.approx(2 * (t * t + p) / prod, rel=1e-12)
 

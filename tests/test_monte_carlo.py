@@ -53,9 +53,10 @@ class TestSimulateCloud:
         assert len(cloud.x1) == len(cloud.r) == 1
         assert cloud.r[0] >= 0
 
-    def test_p1_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_cloud(ProblemConfig(1, 2.0, seed=0), 10)
+    def test_p1_has_zero_residual(self):
+        cloud = simulate_cloud(ProblemConfig(1, 2.0, seed=0), 10)
+        assert len(cloud.x1) == 10
+        assert (cloud.r == 0.0).all()
 
 
 class TestRiskEstimation:
@@ -90,6 +91,28 @@ class TestRiskEstimation:
         cfg = ProblemConfig(5, 0.0, seed=21)
         mean, stderr = _risk_full_vectors(cfg, EstimatorSpec.identity(), 40_000)
         assert abs(mean - 5.0) <= 4 * stderr
+
+
+class TestInfiniteRisk:
+    # At p = 2, E[1/|X|^2] diverges: c/|x|^2 shrinkage has infinite risk.
+    def test_p2_plain_shrinkage_raises(self):
+        cfg = ProblemConfig(2, 1.0, seed=0)
+        with pytest.raises(ValueError, match="infinite"):
+            estimate_risk_mc(cfg, EstimatorSpec.shrink(1.0), 10_000)
+        with pytest.raises(ValueError, match="infinite"):
+            estimate_delta_mc(cfg, 1.0, 10_000)
+        with pytest.raises(ValueError, match="infinite"):
+            estimate_delta_mc(cfg, [EstimatorSpec.shrink_a(1.0, 1.0), 1.0], 10_000)
+
+    def test_p2_regularised_and_identity_estimate(self):
+        cfg = ProblemConfig(2, 1.0, seed=0)
+        identity = estimate_risk_mc(cfg, EstimatorSpec.identity(), 10_000)
+        assert abs(identity.mean - 2.0) <= 4 * identity.stderr
+        regular = estimate_risk_mc(cfg, EstimatorSpec.shrink_a(1.0, 1.0), 10_000)
+        assert math.isfinite(regular.mean) and regular.stderr > 0
+        deltas = estimate_delta_mc(cfg, [0.0, EstimatorSpec.shrink_a(1.0, 1.0)], 10_000)
+        assert deltas[0].mean == 0.0
+        assert math.isfinite(deltas[1].mean) and deltas[1].stderr > 0
 
 
 class TestDeltaEstimation:
