@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cli
 from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor
@@ -239,6 +238,7 @@ def c08_exceedance(seed, fast):
 
 @_criterion("C09 cloud regime (p=20, theta=25, n=2000)")
 def c09_cloud_reproduction(seed, fast):
+    from . import cli  # imported here: cli imports this module to run verify
     g = _gate(fast)
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "cloud.csv")
@@ -305,6 +305,7 @@ def c11_regularized_trend(seed, fast):
 
 @_criterion("C12 byte-identical CSV determinism")
 def c12_determinism(seed, fast):
+    from . import cli
     n_small = "500"
     invocations = [
         ["cloud", "--p", "20", "--theta", "25", "--n", n_small, "--seed", str(seed)],

@@ -41,22 +41,25 @@ class EstimatorSpec:
         return cls(c=c, a=a)
 
 
-def shrink_factor(spec: EstimatorSpec, norm_sq, p: int):
+def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None):
     """Scalar multiplier tau applied to the observation; vectorized over norm_sq.
 
     `p` is accepted for callers that pass it and is not used.  Raises when
     a = 0, c != 0 and norm_sq is 0: the factor is undefined at the origin, an
-    event of probability zero under the model.
+    event of probability zero under the model.  NaN entries pass both checks.
     """
     norm_sq = np.asarray(norm_sq, dtype=float)
-    if np.any(norm_sq < 0):
+    # one pass for both checks; fmin skips NaN, as the comparisons x < 0 and x == 0 do
+    low = np.fmin.reduce(norm_sq, axis=None, initial=np.inf)
+    if low < 0:
         raise ValueError("norm_sq must be >= 0")
+    out = np.empty_like(norm_sq)
     if spec.c == 0.0:
-        return np.ones_like(norm_sq)[()] if norm_sq.ndim == 0 else np.ones_like(norm_sq)
-    if spec.a == 0.0:
-        if np.any(norm_sq == 0.0):
-            raise ValueError("shrinkage undefined at origin")
-        out = 1.0 - spec.c / norm_sq
+        out.fill(1.0)
     else:
-        out = 1.0 - spec.c / (spec.a + norm_sq)
+        if spec.a == 0.0 and low == 0.0:
+            raise ValueError("shrinkage undefined at origin")
+        denom = norm_sq if spec.a == 0.0 else np.add(spec.a, norm_sq, out=out)
+        np.divide(spec.c, denom, out=out)
+        np.subtract(1.0, out, out=out)
     return out[()] if out.ndim == 0 else out

@@ -8,6 +8,10 @@ Replications are split into fixed-size chunks; each chunk owns an RNG stream
 derived deterministically from (seed, operation tag, chunk index), and chunk
 results are reduced in chunk order.  Output is therefore bit-identical for a
 given (config, n) regardless of how many workers execute the chunks.
+
+The reduction may overwrite each array a chunk yields, and the chunk may reuse
+that buffer once its generator resumes; buffers are allocated per chunk call,
+so workers never share one.
 """
 
 from __future__ import annotations
@@ -79,10 +83,12 @@ def _sums(config, tag, n, values_fn, workers=1):
     """(sum, sum of squares) over n draws of each array values_fn(rng, count) yields."""
 
     def sum_sq(v):
-        return float(v.sum()), float((v * v).sum())
+        total = float(v.sum())
+        np.multiply(v, v, out=v)
+        return total, float(v.sum())
 
     def chunk(rng, m):
-        # map keeps no yielded array past its reduction, so one is alive at a time
+        # sum_sq squares v in place; the producer may reuse v once it resumes
         return list(map(sum_sq, values_fn(rng, m)))
 
     parts = _map_chunks(config, tag, n, chunk, workers)
@@ -111,10 +117,16 @@ def _sample_z(rng, p, theta_norm, m):
     return x1, r2
 
 
-def _loss_z(spec, x1, r2, theta_norm, p):
-    f = shrink_factor(spec, x1 * x1 + r2, p)
-    d = f * x1 - theta_norm
-    return d * d + f * f * r2
+def _loss_z(spec, x1, r2, norm_sq, theta_norm, out=None):
+    """|tau x - theta|^2 per draw from norm_sq = x1^2 + r2, written into `out`."""
+    f = shrink_factor(spec, norm_sq)
+    d = np.multiply(f, x1, out=out)
+    d -= theta_norm
+    d *= d
+    f *= f
+    f *= r2
+    d += f
+    return d
 
 
 def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
@@ -141,7 +153,7 @@ def estimate_risk_mc(
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, p, t, m)
-        yield _loss_z(spec, x1, r2, t, p)
+        yield _loss_z(spec, x1, r2, x1 * x1 + r2, t)
 
     [(total, total_sq)] = _sums(config, _TAG_RISK, n, chunk, workers)
     return _moments_to_estimate(total, total_sq, n)
@@ -164,13 +176,16 @@ def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
     ]
     p, t = config.p, config.theta_norm
     _check_finite_risk(p, specs)
-    identity = EstimatorSpec.identity()
 
     def chunk(rng, m):
         x1, r2 = _sample_z(rng, p, t, m)
-        base = _loss_z(identity, x1, r2, t, p)
+        norm_sq = x1 * x1 + r2
+        base = np.square(x1 - t)  # the identity's loss: tau = 1 exactly
+        base += r2
+        diff = np.empty(m)  # one buffer, shared by every spec in turn
         for spec in specs:
-            yield base - _loss_z(spec, x1, r2, t, p)
+            _loss_z(spec, x1, r2, norm_sq, t, out=diff)
+            yield np.subtract(base, diff, out=diff)
 
     estimates = [
         _moments_to_estimate(total, total_sq, n)

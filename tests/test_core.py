@@ -30,7 +30,7 @@ class TestReductionProperties:
             resid = x - x1 * theta / t
             r2 = float(resid @ resid)
             assert x1 * x1 + r2 == pytest.approx(float(x @ x), rel=1e-10)
-            got = _loss_z(spec, np.array([x1]), np.array([r2]), t, p)[0]
+            got = _loss_z(spec, np.array([x1]), np.array([r2]), np.array([x1 * x1 + r2]), t)[0]
             assert got == pytest.approx(_full_loss(spec, x, theta), rel=1e-10)
 
     def test_rotation_fixing_theta_leaves_z_unchanged(self):

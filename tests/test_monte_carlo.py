@@ -175,3 +175,48 @@ class TestExceedance:
     def test_p1_supported(self):
         est = estimate_exceedance_prob(ProblemConfig(1, 2.0, seed=3), 50_000)
         assert 0 < est.mean < 1
+
+
+class TestBitExactRegression:
+    # float.hex of (mean, stderr), recorded before the loss arithmetic was
+    # fused and made in-place: any reordering of a floating-point operation
+    # in the sampling, loss or reduction path moves a last bit here.  The
+    # golden CSVs in test_cli.py hold only single-chunk plain shrinkage.
+    N3 = 2 * CHUNK_SIZE + 12345  # three chunks, the last one partial
+    N2 = CHUNK_SIZE + 777
+
+    DELTA_P5 = [
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.eed5858cda584p-2", "0x1.f2878f6f8a8eap-12"),
+        ("0x1.bdd185c111b32p-1", "0x1.da645666c107dp-10"),
+        ("0x1.b9ecb4c86f3ccp-1", "0x1.7c7ad7f368224p-11"),
+    ]
+
+    @staticmethod
+    def _hex(est):
+        return est.mean.hex(), est.stderr.hex()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_delta_list_three_chunks(self, workers):
+        specs = [0.0, 1.0, 3.0, EstimatorSpec.shrink_a(3, 10)]
+        got = estimate_delta_mc(ProblemConfig(5, 3.0, seed=23), specs, self.N3, workers)
+        assert [self._hex(e) for e in got] == self.DELTA_P5
+
+    def test_delta_c02_cell(self):
+        est = estimate_delta_mc(ProblemConfig(3, 0.0, seed=17), 1.0, self.N2, workers=4)
+        assert self._hex(est) == ("0x1.edeb401162de1p-1", "0x1.201794c187be1p-5")
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (EstimatorSpec.shrink(3), ("0x1.087b6e3d413c5p+2", "0x1.e33233c84d050p-9")),
+            (EstimatorSpec.shrink_a(3, 10), ("0x1.08e4702195892p+2", "0x1.ddc4bcabae0bap-9")),
+        ],
+    )
+    def test_risk(self, spec, expected):
+        est = estimate_risk_mc(ProblemConfig(5, 3.0, seed=23), spec, self.N2)
+        assert self._hex(est) == expected
+
+    def test_exceedance(self):
+        est = estimate_exceedance_prob(ProblemConfig(5, 2.0, seed=23), self.N2)
+        assert self._hex(est) == ("0x1.b3409e1c039f2p-1", "0x1.0248887bec9b2p-11")
