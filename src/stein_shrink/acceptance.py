@@ -86,8 +86,6 @@ def _shrink_n(n, fast):
     return max(1000, n // 100) if fast else n
 
 
-
-
 @_criterion("C01 chi-norm mean table (formula authoritative at p=5)")
 def c01_expected_chi_norm(seed, fast):
     rows = [(10, 2.918), (17, 3.938), (26, 4.950)]
@@ -271,7 +269,7 @@ def c10_geometry(seed, fast):
             rep = ngo_projection(p, t)
             e1 = abs(rep.len_bc * rep.len_ob - rep.len_ab**2) / rep.len_ab**2
             perp = abs(float((rep.a - rep.c_point) @ rep.b))
-            ngo = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b), p) * rep.b
+            ngo = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b)) * rep.b
             proj = float(np.max(np.abs(ngo - rep.c_point)))
             worst = max(worst, e1, perp / max(1.0, rep.len_ob**2), proj)
     return worst <= 1e-12, (

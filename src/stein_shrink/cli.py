@@ -1,6 +1,8 @@
 """Command-line front end: grid sweeps, figure-regime reproduction, and the
 verification suite.  All numeric CSV output uses 17 significant digits, LF
 line endings, and atomic writes, so identical invocations are byte-identical.
+Each column gets one conversion, checked finite before any byte is written,
+and rows are streamed in fixed blocks into the atomic write's temp file.
 
 Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 """
@@ -35,17 +37,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(column: str, v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if v is None:
+_BLOCK = 4096  # rows per %-template, so the text is never held whole
+
+
+def _conversion(name: str, column) -> str:
+    """A column's one conversion: "" if all None, %d if integer, else %.17g if finite."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "%d"
+    if all(v is None for v in column):
         return ""
-    if not math.isfinite(v):
-        raise ArithmeticError(f"{column} is {float(v)}, not a finite number")
-    return format(float(v), ".17g")
+    if all(type(v) is int for v in column):
+        return "%d"
+    values = np.asarray(column, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ArithmeticError(f"{name} is {float(values[bad][0])}, not a finite number")
+    return "%.17g"
 
 
-def _write_atomic(path: str, data: str):
+def _write_atomic(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -54,7 +64,7 @@ def _write_atomic(path: str, data: str):
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,10 +72,29 @@ def _write_atomic(path: str, data: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, header, row)) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header, columns):
+    """Stream equal-length columns as CSV, one %-template per block of rows.
+
+    Each column is converted, and checked, before the file is opened, so a
+    non-finite value names the leftmost column holding one.  %.17g writes the
+    bytes that format(v, ".17g") writes.
+    """
+    columns = list(columns)
+    conversions = [_conversion(name, col) for name, col in zip(header, columns)]
+    filled = [col for col, conv in zip(columns, conversions) if conv]
+    n, k, row = len(columns[0]), len(filled), ",".join(conversions) + "\n"
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            flat = [None] * (m * k)
+            for j, col in enumerate(filled):
+                part = col[start:start + m]
+                flat[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
+            yield row * m % tuple(flat)
+
+    _write_atomic(path, blocks())
 
 
 def _finite(text: str) -> float:
@@ -160,19 +189,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, header, rows, plot=None) -> int:
-    """Write rows to --out as CSV, then, given --svg, render_scatter(**plot) to it."""
-    _write_csv(args.out, header, rows)
+def _emit(args, header, columns, plot=None) -> int:
+    """Write columns to --out as CSV, then, given --svg, render_scatter(**plot) to it."""
+    _write_csv(args.out, header, columns)
     if plot is not None and args.svg:
-        _write_atomic(args.svg, render_scatter(**plot))
+        plot = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in plot.items()}
+        _write_atomic(args.svg, [render_scatter(**plot)])
     return 0
 
 
 def _cmd_cloud(args) -> int:
-    sample = simulate_cloud(ProblemConfig(args.p, args.theta, args.seed), args.n)
-    x1, r = sample.x1.tolist(), sample.r.tolist()
-    return _emit(args, ["idx", "x1", "r"], zip(range(len(x1)), x1, r), plot=dict(
-        xs=x1, ys=r, title=f"Reduced observations, p={args.p}, theta={args.theta:g}",
+    s = simulate_cloud(ProblemConfig(args.p, args.theta, args.seed), args.n)
+    return _emit(args, ["idx", "x1", "r"], [np.arange(len(s.x1)), s.x1, s.r], plot=dict(
+        xs=s.x1, ys=s.r, title=f"Reduced observations, p={args.p}, theta={args.theta:g}",
         xlabel="x1", ylabel="r",
     ))
 
@@ -197,7 +226,7 @@ def _cmd_risk_curve(args) -> int:
             rows.append((args.p, t, c, ex, ap, mean, stderr))
     header = ["p", "theta", "c", "delta_exact", "delta_approx",
               "delta_mc_mean", "delta_mc_stderr"]
-    return _emit(args, header, rows, plot=dict(
+    return _emit(args, header, zip(*rows), plot=dict(
         xs=[row[1] for row in rows], ys=[row[3] for row in rows],
         title=f"Exact risk difference, p={args.p}",
         xlabel="theta", ylabel="delta", mode="line",
@@ -207,29 +236,21 @@ def _cmd_risk_curve(args) -> int:
 def _cmd_conditional(args) -> int:
     b = conditional_losses(args.p, args.theta, args.c)
     closed = conditional_delta_closed(args.p, args.theta, args.c)
-    return _emit(
-        args,
-        ["p", "theta", "c", "l_plus_1", "l_plus_2", "l_minus_1", "l_minus_2",
-         "delta_direct", "delta_closed"],
-        [(args.p, args.theta, args.c, b.l_plus_1, b.l_plus_2,
-          b.l_minus_1, b.l_minus_2, b.delta, closed)],
-    )
+    return _emit(args, ["p", "theta", "c", "l_plus_1", "l_plus_2", "l_minus_1", "l_minus_2",
+                        "delta_direct", "delta_closed"],
+                 zip((args.p, args.theta, args.c, b.l_plus_1, b.l_plus_2,
+                      b.l_minus_1, b.l_minus_2, b.delta, closed)))
 
 
 def _cmd_geometry(args) -> int:
     rep = ngo_projection(args.p, args.theta)
-    return _emit(
-        args,
-        ["ax", "ay", "bx", "by", "cx", "cy",
-         "len_ab", "len_ob", "len_bc", "shrink_factor"],
-        [(rep.a[0], rep.a[1], rep.b[0], rep.b[1], rep.c_point[0], rep.c_point[1],
-          rep.len_ab, rep.len_ob, rep.len_bc, rep.shrink_factor)],
-        plot=dict(
-            xs=[0.0, rep.a[0], rep.b[0], rep.c_point[0]],
-            ys=[0.0, rep.a[1], rep.b[1], rep.c_point[1]],
-            title="O, A, B and the projected point", xlabel="x1", ylabel="r",
-        ),
-    )
+    return _emit(args, ["ax", "ay", "bx", "by", "cx", "cy", "len_ab", "len_ob", "len_bc",
+                        "shrink_factor"],
+                 zip((rep.a[0], rep.a[1], rep.b[0], rep.b[1], rep.c_point[0], rep.c_point[1],
+                      rep.len_ab, rep.len_ob, rep.len_bc, rep.shrink_factor)),
+                 plot=dict(xs=[0.0, rep.a[0], rep.b[0], rep.c_point[0]],
+                           ys=[0.0, rep.a[1], rep.b[1], rep.c_point[1]],
+                           title="O, A, B and the projected point", xlabel="x1", ylabel="r"))
 
 
 def _cmd_special(args) -> int:
@@ -238,13 +259,13 @@ def _cmd_special(args) -> int:
     except ValueError:
         raise _UsageError(f"bad dimension list {args.p!r}") from None
     rows = [(p, expected_chi_norm(p), expected_chi_norm_asymptotic(p)) for p in ps]
-    return _emit(args, ["p", "e_r_exact", "e_r_asymptotic"], rows)
+    return _emit(args, ["p", "e_r_exact", "e_r_asymptotic"], zip(*rows))
 
 
 def _cmd_exceedance(args) -> int:
     est = estimate_exceedance_prob(ProblemConfig(args.p, args.theta, args.seed), args.n)
     return _emit(args, ["p", "theta", "prob", "stderr"],
-                 [(args.p, args.theta, est.mean, est.stderr)])
+                 zip((args.p, args.theta, est.mean, est.stderr)))
 
 
 def _cmd_verify(args) -> int:
@@ -252,12 +273,9 @@ def _cmd_verify(args) -> int:
 
     seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
     results = acceptance.run_all(seed=seed, fast=args.fast)
-    all_ok = True
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"{tag}  {res.name}: {res.detail}")
-        all_ok = all_ok and res.passed
-    return 0 if all_ok else 1
+        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
+    return 0 if all(res.passed for res in results) else 1
 
 
 def run(argv) -> int:
@@ -271,12 +289,9 @@ def run(argv) -> int:
         return 2
     try:
         return args.run(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 def main() -> None:

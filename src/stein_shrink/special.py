@@ -15,10 +15,19 @@ __all__ = [
 
 
 def expected_chi_norm(p: int) -> float:
-    """Exact mean of R where R^2 ~ chi^2_{p-1}: sqrt(2) Gamma(p/2) / Gamma((p-1)/2)."""
+    """Exact mean of R where R^2 ~ chi^2_{p-1}: sqrt(2) Gamma(p/2) / Gamma((p-1)/2).
+
+    From p = 40 on, where the lgamma difference cancels, it is sqrt(p-1) e^s,
+    s the series (DLMF 5.11.8) of ln Gamma(x+1/2) - ln Gamma(x) - ln(x)/2 with
+    x = (p-1)/2, cut after x^-7: under 1e-14 relative error at every p.
+    """
     if p < 2:
         raise ValueError(f"expected_chi_norm requires p >= 2, got {p}")
-    return math.sqrt(2.0) * math.exp(math.lgamma(p / 2) - math.lgamma((p - 1) / 2))
+    if p < 40:
+        return math.sqrt(2.0) * math.exp(math.lgamma(p / 2) - math.lgamma((p - 1) / 2))
+    u = 2 / (p - 1)  # 1/x
+    s = u * (-1 / 8 + u * u * (1 / 192 + u * u * (-1 / 640 + u * u * 17 / 14336)))
+    return math.sqrt(p - 1) * math.exp(s)
 
 
 def expected_chi_norm_asymptotic(p: int) -> float:

@@ -8,6 +8,8 @@ import pytest
 
 from stein_shrink import cli
 from stein_shrink.conditional import conditional_delta_closed
+from stein_shrink.core import ProblemConfig
+from stein_shrink.monte_carlo import simulate_cloud
 from stein_shrink.special import expected_chi_norm
 
 
@@ -157,7 +159,7 @@ class TestExitCodes:
         # the error line alone: no numpy overflow warning before it
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {column} is")
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["risk-curve", "--p", "5", "--theta", "-1", "--c", "1"],
@@ -207,7 +209,48 @@ class TestOutputFiles:
         assert out.read_bytes() == golden.encode()
 
 
+class TestCsvWriter:
+    def test_non_finite_names_the_leftmost_such_column(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ArithmeticError, match=r"^b is nan, not a finite number$"):
+            cli._write_csv(str(out), ["a", "b", "c"],
+                           [(1, 2), (2.0, math.nan), (math.inf, 3.0)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_stream_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old\n")
+
+        def blocks():
+            yield "new\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(str(out), blocks())
+        assert out.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_integer_column_is_written_exactly(self, tmp_path):
+        out = tmp_path / "special.csv"
+        assert cli.run(["special", "--p", "5,100000000000000001", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [r[0] for r in rows] == ["5", "100000000000000001"]
+        assert float(rows[1][1]) == pytest.approx(math.sqrt(1e17), rel=1e-15)
+
+
 class TestCloud:
+    def test_rows_span_several_blocks(self, tmp_path):
+        n = 2 * cli._BLOCK + 7
+        out = tmp_path / "cloud.csv"
+        assert cli.run(["cloud", "--p", "5", "--theta", "2", "--n", str(n),
+                        "--seed", "3", "--out", str(out)]) == 0
+        sample = simulate_cloud(ProblemConfig(5, 2.0, 3), n)
+        want = "idx,x1,r\n" + "".join(
+            f"{i},{format(x1, '.17g')},{format(r, '.17g')}\n"
+            for i, (x1, r) in enumerate(zip(sample.x1.tolist(), sample.r.tolist()))
+        )
+        assert out.read_bytes() == want.encode()
+
     def test_csv_shape_and_roundtrip(self, tmp_path):
         out = tmp_path / "cloud.csv"
         code = cli.run(["cloud", "--p", "20", "--theta", "25", "--n", "100",

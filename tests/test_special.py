@@ -31,6 +31,17 @@ class TestExpectedChiNorm:
         v = expected_chi_norm(2000)
         assert v == pytest.approx(math.sqrt(1999), rel=1e-3)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 26, 100, 10**3, 10**5, 10**8, 10**12,
+                                   10**16, 2**53 + 1, 10**20, 10**300],
+                             ids=lambda p: str(p) if p < 10**17 else f"1e{len(str(p)) - 1}")
+    def test_matches_mpmath_at_every_scale(self, p):
+        # the oracle's Gamma values carry as many digits as p has, plus 40
+        with mpmath.workdps(40 + len(str(p))):
+            x = mpmath.mpf(p - 1) / 2
+            want = mpmath.sqrt(2) * mpmath.gamma(x + mpmath.mpf(1) / 2) / mpmath.gamma(x)
+            err = abs(mpmath.mpf(expected_chi_norm(p)) / want - 1)
+        assert err <= 1e-14
+
     def test_asymptotic_values(self):
         assert expected_chi_norm_asymptotic(5) == pytest.approx(1.875)
         assert expected_chi_norm_asymptotic(26) == pytest.approx(4.95)
