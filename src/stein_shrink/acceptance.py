@@ -113,11 +113,13 @@ def c02_factor_two(seed, fast):
     )
 
 
-def _grid_cells():
-    """Each (p, theta) of the grid with its four constants, scored on one set of draws."""
+def _grid_cells(seed, n):
+    """Each (p, theta), its four constants and their estimates; one set of draws per p."""
     for p in _GRID_P:
-        for t in _GRID_THETA:
-            yield p, t, [1.0, float(p - 2), float(p - 1), 2.0 * (p - 2) - 0.5]
+        cs = [1.0, float(p - 2), float(p - 1), 2.0 * (p - 2) - 0.5]
+        configs = [ProblemConfig(p, t, seed) for t in _GRID_THETA]
+        for t, ests in zip(_GRID_THETA, estimate_delta_mc(configs, cs, n, workers=4)):
+            yield p, t, cs, ests
 
 
 @_criterion("C03 exact vs paired-MC risk difference over grid")
@@ -126,9 +128,8 @@ def c03_exact_vs_mc(seed, fast):
     g = _grid_gate(fast)
     worst = 0.0
     bad = None
-    for p, t, cs in _grid_cells():
+    for p, t, cs, ests in _grid_cells(seed, n):
         exacts = risk_delta_exact(p, t, np.array(cs)).tolist()
-        ests = estimate_delta_mc(ProblemConfig(p, t, seed), cs, n, workers=4)
         for c, exact, est in zip(cs, exacts, ests):
             z = abs(est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
             if z > worst:
@@ -287,14 +288,15 @@ def c11_regularized_trend(seed, fast):
     spec = EstimatorSpec.shrink_a(c, a)
     details = []
     ok = True
-    for t in (20.0, 40.0, 80.0):
+    configs = [ProblemConfig(p, t, seed) for t in (20.0, 40.0, 80.0)]
+    for cfg, pilot in zip(configs, estimate_delta_mc(configs, spec, 100_000, workers=4)):
+        t = cfg.theta_norm
         denom = a + t * t
         target = target_product / denom
-        pilot = estimate_delta_mc(ProblemConfig(p, t, seed), spec, 100_000, workers=4)
         sd = pilot.stderr * math.sqrt(pilot.n)
         n = int(1.3 * (g * sd / (frac * target)) ** 2)
         n = min(max(n, 100_000), 40_000_000)
-        est = estimate_delta_mc(ProblemConfig(p, t, seed), spec, n, workers=4)
+        est = estimate_delta_mc(cfg, spec, n, workers=4)
         product = denom * est.mean
         ok = ok and abs(product - target_product) <= tol * target_product
         details.append(f"theta={t:g}: (a+theta^2)*delta = {product:.3f} (n={n})")

@@ -56,9 +56,10 @@ def _conversion(name: str, column) -> str:
 
 
 def _write_atomic(path: str, chunks):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write text chunks to a temp file, then rename it to `path`; an OSError names `path`."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as fh:
             # mkstemp creates the file 0600; give it the mode open() would.
             umask = os.umask(0)
@@ -66,9 +67,11 @@ def _write_atomic(path: str, chunks):
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -212,18 +215,18 @@ def _cmd_risk_curve(args) -> int:
     if args.mc_n is not None and args.mc_n < 2:
         raise _UsageError(f"--mc-n must be >= 2, got {args.mc_n}")
     c_array = np.array(cs)
-    rows = []
+    rows, configs = [], []
     for t in thetas:
-        # The inverse moment is c-free, and one set of draws serves every c.
+        # The inverse moment is c-free.
         exact = risk_delta_exact(args.p, t, c_array).tolist()
         approx = risk_delta_approx(args.p, t, c_array).tolist()
+        rows += [(args.p, t, c, ex, ap, None, None) for c, ex, ap in zip(cs, exact, approx)]
         if args.mc_n:
-            ests = estimate_delta_mc(ProblemConfig(args.p, t, args.seed), cs, args.mc_n)
-            mc = [(est.mean, est.stderr) for est in ests]
-        else:
-            mc = [(None, None)] * len(cs)
-        for c, ex, ap, (mean, stderr) in zip(cs, exact, approx, mc):
-            rows.append((args.p, t, c, ex, ap, mean, stderr))
+            configs.append(ProblemConfig(args.p, t, args.seed))
+    if args.mc_n:
+        # One set of draws serves every theta and every c, in the order of the rows.
+        ests = [est for per_t in estimate_delta_mc(configs, cs, args.mc_n) for est in per_t]
+        rows = [row[:5] + (est.mean, est.stderr) for row, est in zip(rows, ests)]
     header = ["p", "theta", "c", "delta_exact", "delta_approx",
               "delta_mc_mean", "delta_mc_stderr"]
     return _emit(args, header, zip(*rows), plot=dict(

@@ -41,10 +41,11 @@ class EstimatorSpec:
         return cls(c=c, a=a)
 
 
-def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None):
+def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None, *, out=None):
     """Scalar multiplier tau applied to the observation; vectorized over norm_sq.
 
-    `p` is accepted for callers that pass it and is not used.  Raises when
+    `p` is accepted for callers that pass it and is not used.  `out`, an array
+    shaped like norm_sq and possibly norm_sq itself, receives tau.  Raises when
     a = 0, c != 0 and norm_sq is 0: the factor is undefined at the origin, an
     event of probability zero under the model.  NaN entries pass both checks.
     """
@@ -53,7 +54,7 @@ def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None):
     low = np.fmin.reduce(norm_sq, axis=None, initial=np.inf)
     if low < 0:
         raise ValueError("norm_sq must be >= 0")
-    out = np.empty_like(norm_sq)
+    out = np.empty_like(norm_sq) if out is None else out
     if spec.c == 0.0:
         out.fill(1.0)
     else:

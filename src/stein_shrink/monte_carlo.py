@@ -3,6 +3,8 @@ estimation with common random numbers, and the exceedance probability.
 
 Sampling happens in the reduced two-coordinate system (one normal plus one
 chi-square draw per replication), so cost is independent of the dimension p.
+The draws z ~ N(0, 1) and r2 ~ chi^2_{p-1} do not depend on theta (x1 = |theta|
++ z), so configs that share p and seed share each chunk's draws.
 
 Replications are split into fixed-size chunks; each chunk owns an RNG stream
 derived deterministically from (seed, operation tag, chunk index), and chunk
@@ -11,7 +13,8 @@ given (config, n) regardless of how many workers execute the chunks.
 
 The reduction may overwrite each array a chunk yields, and the chunk may reuse
 that buffer once its generator resumes; buffers are allocated per chunk call,
-so workers never share one.
+so workers never share one.  A chunk's arithmetic runs under np.errstate (per
+thread), so an overflow gives an inf or NaN estimate and no warning.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _sums(config, tag, n, values_fn, workers=1):
 
     def chunk(rng, m):
         # sum_sq squares v in place; the producer may reuse v once it resumes
-        return list(map(sum_sq, values_fn(rng, m)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return list(map(sum_sq, values_fn(rng, m)))
 
     parts = _map_chunks(config, tag, n, chunk, workers)
     return [
@@ -99,9 +103,9 @@ def _sums(config, tag, n, values_fn, workers=1):
 
 
 def _moments_to_estimate(total, total_sq, n):
-    mean = total / n
-    var = max(0.0, (total_sq - total * total / n) / (n - 1))
-    return RiskEstimate(mean=mean, stderr=math.sqrt(var / n), n=n)
+    # max(var, 0.0) clamps a negative rounding and keeps the NaN of an overflow
+    var = max((total_sq - total * total / n) / (n - 1), 0.0)
+    return RiskEstimate(mean=total / n, stderr=math.sqrt(var / n), n=n)
 
 
 def _check_finite_risk(p, specs):
@@ -110,16 +114,15 @@ def _check_finite_risk(p, specs):
         raise ValueError(f"risk of c/|x|^2 shrinkage (a = 0) is infinite at p={p} <= 2")
 
 
-def _sample_z(rng, p, theta_norm, m):
-    """m reduced observations: x1 ~ N(theta_norm, 1), r2 ~ chi^2_{p-1}."""
-    x1 = theta_norm + rng.standard_normal(m)
-    r2 = rng.chisquare(p - 1, m) if p >= 2 else np.zeros(m)
-    return x1, r2
+def _draw(rng, p, m):
+    """m reduced draws about the origin: z ~ N(0, 1) along theta, r2 ~ chi^2_{p-1}."""
+    z = rng.standard_normal(m)
+    return z, (rng.chisquare(p - 1, m) if p >= 2 else np.zeros(m))
 
 
 def _loss_z(spec, x1, r2, norm_sq, theta_norm, out=None):
-    """|tau x - theta|^2 per draw from norm_sq = x1^2 + r2, written into `out`."""
-    f = shrink_factor(spec, norm_sq)
+    """|tau x - theta|^2 per draw from norm_sq = x1^2 + r2 (overwritten), into `out`."""
+    f = shrink_factor(spec, norm_sq, out=norm_sq)
     d = np.multiply(f, x1, out=out)
     d -= theta_norm
     d *= d
@@ -133,8 +136,8 @@ def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
     """n independent reduced observations; bit-identical for a given seed."""
 
     def chunk(rng, m):
-        x1, r2 = _sample_z(rng, config.p, config.theta_norm, m)
-        return x1, np.sqrt(r2)
+        z, r2 = _draw(rng, config.p, m)
+        return np.add(config.theta_norm, z, out=z), np.sqrt(r2, out=r2)
 
     parts = _map_chunks(config, _TAG_CLOUD, n, chunk, min_n=1)
     return CloudSample(
@@ -152,14 +155,15 @@ def estimate_risk_mc(
     _check_finite_risk(p, [spec])
 
     def chunk(rng, m):
-        x1, r2 = _sample_z(rng, p, t, m)
-        yield _loss_z(spec, x1, r2, x1 * x1 + r2, t)
+        z, r2 = _draw(rng, p, m)
+        x1 = np.add(t, z, out=z)
+        yield _loss_z(spec, x1, r2, x1 * x1 + r2, t, out=x1)
 
     [(total, total_sq)] = _sums(config, _TAG_RISK, n, chunk, workers)
     return _moments_to_estimate(total, total_sq, n)
 
 
-def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
+def estimate_delta_mc(config, specs, n: int, workers: int = 1):
     """Paired risk-difference estimate: loss(identity) - loss(spec) on common draws.
 
     `specs` may be an EstimatorSpec, a bare shrinkage constant c (a = 0), or
@@ -167,31 +171,40 @@ def estimate_delta_mc(config: ProblemConfig, specs, n: int, workers: int = 1):
     per entry, all scored on the same draws against one identity loss, and
     each bit-equal to the estimate for that entry alone.  Pairing on the same
     reduced observation cancels most of the sampling variance of differencing
-    two independent risk estimates.
+    two independent risk estimates.  `config` may be a list of ProblemConfigs
+    that share p and seed: each chunk is drawn once and scored at every theta,
+    and each config's result is bit-equal to its own call.
     """
     single = not isinstance(specs, (list, tuple))
     specs = [
         s if isinstance(s, EstimatorSpec) else EstimatorSpec.shrink(float(s))
         for s in ([specs] if single else specs)
     ]
-    p, t = config.p, config.theta_norm
+    configs = [config] if isinstance(config, ProblemConfig) else list(config)
+    if len({(cfg.p, cfg.seed) for cfg in configs}) != 1:
+        raise ValueError("a config list must be non-empty and share p and seed")
+    p, thetas = configs[0].p, [cfg.theta_norm for cfg in configs]
     _check_finite_risk(p, specs)
 
     def chunk(rng, m):
-        x1, r2 = _sample_z(rng, p, t, m)
-        norm_sq = x1 * x1 + r2
-        base = np.square(x1 - t)  # the identity's loss: tau = 1 exactly
-        base += r2
-        diff = np.empty(m)  # one buffer, shared by every spec in turn
-        for spec in specs:
-            _loss_z(spec, x1, r2, norm_sq, t, out=diff)
-            yield np.subtract(base, diff, out=diff)
+        z, r2 = _draw(rng, p, m)
+        x1, base, norm_sq, diff = (np.empty(m) for _ in range(4))
+        for t in thetas:
+            np.add(t, z, out=x1)
+            np.subtract(x1, t, out=base)  # the identity's loss: tau = 1 exactly
+            base *= base
+            base += r2
+            for spec in specs:
+                # _loss_z overwrites norm_sq, so |x|^2 is formed again per spec
+                np.multiply(x1, x1, out=norm_sq)
+                norm_sq += r2
+                _loss_z(spec, x1, r2, norm_sq, t, out=diff)
+                yield np.subtract(base, diff, out=diff)
 
-    estimates = [
-        _moments_to_estimate(total, total_sq, n)
-        for total, total_sq in _sums(config, _TAG_DELTA, n, chunk, workers)
-    ]
-    return estimates[0] if single else estimates
+    sums = iter(_sums(configs[0], _TAG_DELTA, n, chunk, workers))
+    results = [[_moments_to_estimate(*next(sums), n) for _ in specs] for _ in configs]
+    results = [r[0] for r in results] if single else results
+    return results[0] if isinstance(config, ProblemConfig) else results
 
 
 def estimate_exceedance_prob(
@@ -203,7 +216,7 @@ def estimate_exceedance_prob(
     def chunk(rng, m):
         # |X|^2 >= t^2 as z (2t + z) + r2 >= 0 with z = x1 - t: for a huge t,
         # t + z rounds to t and t * t overflows, and either loses the event.
-        z, r2 = _sample_z(rng, p, 0.0, m)
+        z, r2 = _draw(rng, p, m)
         yield z * (2.0 * t + z) + r2 >= 0.0
 
     [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers)

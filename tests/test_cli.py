@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stein_shrink import cli
+from stein_shrink import cli, monte_carlo
 from stein_shrink.conditional import conditional_delta_closed
 from stein_shrink.core import ProblemConfig
 from stein_shrink.monte_carlo import simulate_cloud
@@ -152,11 +153,17 @@ class TestExitCodes:
         (["conditional", "--p", "3", "--theta", "1e160", "--c", "1"], "delta_closed"),
         (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"], "delta_closed"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e200"], "delta_exact"),
-    ], ids=["conditional-huge-theta", "conditional-huge-p", "risk-curve-huge-c"])
+        (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e300", "--mc-n", "100"],
+         "delta_exact"),
+        (["risk-curve", "--p", "3", "--theta", "0:1:2", "--c", "1e150", "--mc-n", "100000"],
+         "delta_mc_stderr"),
+    ], ids=["conditional-huge-theta", "conditional-huge-p", "risk-curve-huge-c",
+            "risk-curve-mc-overflow", "risk-curve-mc-stderr-overflow"])
     def test_non_finite_output_is_exit_1(self, tmp_path, capsys, argv, column):
         out = tmp_path / "x.csv"
         assert cli.run(argv + ["--out", str(out)]) == 1
-        # the error line alone: no numpy overflow warning before it
+        # the error line alone: no numpy overflow warning before it (pytest
+        # would raise one); an overflowed MC square sum is a NaN stderr, not 0
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {column} is")
         assert list(tmp_path.iterdir()) == []
@@ -174,6 +181,36 @@ class TestExitCodes:
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: theta_norm must be >= 0, got -1.0"
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_theta_in_mc_grid_fails_before_any_draw(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every theta")
+
+        monkeypatch.setattr(monte_carlo, "_map_chunks", no_draws)
+        assert cli.run(["risk-curve", "--p", "5", "--theta=1:-1:3", "--c", "1",
+                        "--mc-n", "100000", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: theta_norm must be >= 0, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["csv-dir-missing", "svg-dir-missing", "csv-is-a-dir"])
+    def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, kind):
+        csv, bad = str(tmp_path / "c.csv"), str(tmp_path / "no-such-dir" / "x")
+        argv = ["cloud", "--p", "5", "--theta", "1", "--n", "10", "--out"]
+        if kind == "svg-dir-missing":
+            argv += [csv, "--svg", bad]
+        elif kind == "csv-is-a-dir":
+            bad = str(tmp_path / "d")
+            os.mkdir(bad)
+            argv += [bad]
+        else:
+            argv += [bad]
+        code = errno.EISDIR if kind == "csv-is-a-dir" else errno.ENOENT
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {code}] {os.strerror(code)}: {bad!r}\n")
+        # no temp file is left beside the path
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_overflowing_range_step_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

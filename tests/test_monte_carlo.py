@@ -13,6 +13,7 @@ from stein_shrink import (
     shrink_factor,
     simulate_cloud,
 )
+from stein_shrink import monte_carlo
 from stein_shrink.monte_carlo import CHUNK_SIZE
 
 
@@ -141,6 +142,34 @@ class TestDeltaEstimation:
         alone = [estimate_delta_mc(cfg, spec, n, workers=workers) for spec in specs]
         assert together == alone
 
+    def test_config_list_with_one_spec_gives_one_estimate_per_config(self):
+        configs = [ProblemConfig(5, t, seed=13) for t in (1.0, 4.0)]
+        got = estimate_delta_mc(configs, 3.0, 10_000)
+        assert got == [estimate_delta_mc(cfg, 3.0, 10_000) for cfg in configs]
+
+    @pytest.mark.parametrize("configs", [
+        [ProblemConfig(5, 1.0, seed=3), ProblemConfig(6, 1.0, seed=3)],
+        [ProblemConfig(5, 1.0, seed=3), ProblemConfig(5, 1.0, seed=4)],
+        [],
+    ], ids=["mixed-p", "mixed-seed", "empty"])
+    def test_config_list_must_share_p_and_seed(self, monkeypatch, configs):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the configs")
+
+        monkeypatch.setattr(monte_carlo, "_map_chunks", no_draws)
+        with pytest.raises(ValueError, match="share p and seed"):
+            estimate_delta_mc(configs, 1.0, 10_000)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_overflow_is_a_non_finite_estimate_not_a_warning(self, workers):
+        # pytest turns a warning into an error, in a worker thread too
+        est = estimate_delta_mc(ProblemConfig(5, 1.0, seed=0), 1e300, 100, workers=workers)
+        assert est.mean == -math.inf and math.isnan(est.stderr)
+
+    def test_overflowed_square_sum_gives_nan_stderr_not_zero(self):
+        est = estimate_delta_mc(ProblemConfig(3, 0.0, seed=0), 1e150, 100_000)
+        assert math.isfinite(est.mean) and math.isnan(est.stderr)
+
     def test_paired_beats_unpaired(self):
         p, t, c, n = 8, 3.0, 6.0, 200_000
         paired = estimate_delta_mc(ProblemConfig(p, t, seed=41), c, n)
@@ -201,6 +230,20 @@ class TestBitExactRegression:
         specs = [0.0, 1.0, 3.0, EstimatorSpec.shrink_a(3, 10)]
         got = estimate_delta_mc(ProblemConfig(5, 3.0, seed=23), specs, self.N3, workers)
         assert [self._hex(e) for e in got] == self.DELTA_P5
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_config_list_equals_per_theta_calls(self, workers):
+        # one set of draws scored at each theta, a duplicate theta included
+        specs = [0.0, 1.0, EstimatorSpec.shrink_a(3, 10)]
+        configs = [ProblemConfig(5, t, seed=23) for t in (0.0, 3.0, 3.0, 25.0)]
+        together = estimate_delta_mc(configs, specs, self.N3, workers)
+        alone = [estimate_delta_mc(cfg, specs, self.N3, workers) for cfg in configs]
+        assert [list(map(self._hex, ests)) for ests in together] == [
+            list(map(self._hex, ests)) for ests in alone
+        ]
+        # theta = 3 still gives the values pinned before draws were shared
+        pinned = [self.DELTA_P5[k] for k in (0, 1, 3)]
+        assert list(map(self._hex, together[1])) == list(map(self._hex, together[2])) == pinned
 
     def test_delta_c02_cell(self):
         est = estimate_delta_mc(ProblemConfig(3, 0.0, seed=17), 1.0, self.N2, workers=4)
