@@ -10,7 +10,7 @@ from .conditional import (
 )
 from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor
-from .exact_risk import risk_delta_approx, risk_delta_exact, risk_exact
+from .exact_risk import risk_delta_approx, risk_delta_exact
 from .geometry import GeometryReport, ngo_projection
 from .monte_carlo import (
     CloudSample,

@@ -112,7 +112,7 @@ def _finite(text: str) -> float:
 
 
 def _parse_range(text: str):
-    """`start:stop:count` (inclusive, count >= 2) or a single value."""
+    """`start:stop:count` (inclusive, count >= 2) or a comma list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -128,12 +128,6 @@ def _parse_range(text: str):
         if not math.isfinite(step):
             raise _UsageError(f"range {text!r} is too wide: its step overflows")
         return [start + i * step for i in range(count - 1)] + [stop]
-    return [_finite(text)]
-
-
-def _parse_list_or_range(text: str):
-    if ":" in text:
-        return _parse_range(text)
     return [_finite(v) for v in text.split(",")]
 
 
@@ -193,11 +187,17 @@ def _build_parser() -> _Parser:
 
 
 def _emit(args, header, columns, plot=None) -> int:
-    """Write columns to --out as CSV, then, given --svg, render_scatter(**plot) to it."""
-    _write_csv(args.out, header, columns)
+    """Write columns to --out as CSV and, given --svg, render_scatter(**plot) to it.
+
+    The plot is rendered before either file is written, so a failed plot writes neither.
+    """
+    svg = None
     if plot is not None and args.svg:
         plot = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in plot.items()}
-        _write_atomic(args.svg, [render_scatter(**plot)])
+        svg = render_scatter(**plot)
+    _write_csv(args.out, header, columns)
+    if svg is not None:
+        _write_atomic(args.svg, [svg])
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_cloud(args) -> int:
 
 def _cmd_risk_curve(args) -> int:
     thetas = _parse_range(args.theta)
-    cs = _parse_list_or_range(args.c)
+    cs = _parse_range(args.c)
     if args.mc_n is not None and args.mc_n < 2:
         raise _UsageError(f"--mc-n must be >= 2, got {args.mc_n}")
     c_array = np.array(cs)
@@ -292,7 +292,8 @@ def run(argv) -> int:
         return 2
     try:
         return args.run(args)
-    except (_UsageError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except (_UsageError, ValueError, RuntimeError, ArithmeticError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 

@@ -29,10 +29,6 @@ class EstimatorSpec:
             raise ValueError(f"regularizer a must be >= 0, got {self.a}")
 
     @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
     def shrink(cls, c: float):
         return cls(c=c)
 

@@ -13,23 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import EstimatorSpec
 from .special import inv_noncentral_chisq_mean
 
-__all__ = [
-    "risk_delta_exact",
-    "risk_delta_approx",
-    "risk_exact",
-    "dominance_quadratic",
-]
+__all__ = ["risk_delta_exact", "risk_delta_approx", "dominance_quadratic"]
 
 
 def dominance_quadratic(p, c) -> float:
     """The c-quadratic c(p-2) - c^2/2 shared by the exact and approximate routes.
 
-    A huge c overflows to -inf without a warning; the CLI rejects the result.
+    A huge c overflows to -inf, or inf - inf = NaN, without a warning; the CLI
+    rejects the result.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return c * (p - 2) - c * c / 2.0
 
 
@@ -53,16 +48,3 @@ def risk_delta_approx(p: int, theta_norm: float, c):
     if theta_norm < 0:
         raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     return 2.0 / (theta_norm * theta_norm + p) * dominance_quadratic(p, c)
-
-
-def risk_exact(p: int, theta_norm: float, spec: EstimatorSpec) -> float:
-    """Closed-form risk: p for the identity (c = 0), p - Delta for a = 0.
-
-    The regularized estimators (a > 0) have no closed form here; their risk is
-    available only by Monte Carlo.
-    """
-    if spec.c == 0.0:
-        return float(p)
-    if spec.a == 0.0:
-        return p - risk_delta_exact(p, theta_norm, spec.c)
-    raise ValueError(f"no closed-form risk for a = {spec.a} > 0; use Monte Carlo")

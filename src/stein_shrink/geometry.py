@@ -24,7 +24,6 @@ class GeometryReport:
     len_ab: float
     len_ob: float
     len_bc: float
-    len_ac: float
     shrink_factor: float
 
 
@@ -41,14 +40,12 @@ def ngo_projection(p: int, theta_norm: float) -> GeometryReport:
     with np.errstate(over="ignore"):
         factor = 1.0 - (p - 1.0) / float(b @ b)
     len_ob = hypot(theta_norm, sqrt(p - 1.0))
-    c = factor * b
     return GeometryReport(
         a=a,
         b=b,
-        c_point=c,
+        c_point=factor * b,
         len_ab=sqrt(p - 1.0),
         len_ob=len_ob,
         len_bc=(p - 1.0) / len_ob,
-        len_ac=float(np.linalg.norm(a - c)),
         shrink_factor=factor,
     )

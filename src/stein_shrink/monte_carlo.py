@@ -8,8 +8,9 @@ The draws z ~ N(0, 1) and r2 ~ chi^2_{p-1} do not depend on theta (x1 = |theta|
 
 Replications are split into fixed-size chunks; each chunk owns an RNG stream
 derived deterministically from (seed, operation tag, chunk index), and chunk
-results are reduced in chunk order.  Output is therefore bit-identical for a
-given (config, n) regardless of how many workers execute the chunks.
+results are added left to right in chunk order.  Output is therefore
+bit-identical for a given (config, n) regardless of how many workers execute
+the chunks or which Python runs them.  n is capped at MAX_N.
 
 The reduction may overwrite each array a chunk yields, and the chunk may reuse
 that buffer once its generator resumes; buffers are allocated per chunk call,
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
+MAX_N = 1 << 32  # replications per call, checked before any chunk is made
 
 # Operation tags keep the streams of distinct operations disjoint.
 _TAG_CLOUD = 1
@@ -59,7 +61,6 @@ class CloudSample:
 
     x1: np.ndarray
     r: np.ndarray
-    config: ProblemConfig
 
 
 def _map_chunks(config, tag, n, chunk_fn, workers=1, min_n=2):
@@ -68,8 +69,8 @@ def _map_chunks(config, tag, n, chunk_fn, workers=1, min_n=2):
     Chunk i draws from SeedSequence([seed, tag, i]), so the result does not
     depend on `workers`.
     """
-    if n < min_n:
-        raise ValueError(f"need n >= {min_n}, got {n}")
+    if not min_n <= n <= MAX_N:
+        raise ValueError(f"need {min_n} <= n <= {MAX_N}, got {n}")
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
 
     def run(i):
@@ -96,10 +97,10 @@ def _sums(config, tag, n, values_fn, workers=1):
             return list(map(sum_sq, values_fn(rng, m)))
 
     parts = _map_chunks(config, tag, n, chunk, workers)
-    return [
-        (sum(part[k][0] for part in parts), sum(part[k][1] for part in parts))
-        for k in range(len(parts[0]))
-    ]
+    sums = [(0.0, 0.0)] * len(parts[0])
+    for part in parts:  # left to right: from Python 3.12 on, sum() of floats is compensated
+        sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
+    return sums
 
 
 def _moments_to_estimate(total, total_sq, n):
@@ -143,7 +144,6 @@ def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
     return CloudSample(
         x1=np.concatenate([x1 for x1, _ in parts]),
         r=np.concatenate([r for _, r in parts]),
-        config=config,
     )
 
 

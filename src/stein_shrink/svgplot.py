@@ -6,31 +6,29 @@ to be bit-stable across versions.
 
 from __future__ import annotations
 
+import math
+import sys
+
 __all__ = ["render_scatter"]
 
 _W, _H = 800, 600
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo, hi):
-    mid = (lo + hi) / 2
-    return [lo, mid, hi]
+def _span(values):
+    """(min, max) of values; a flat range widens by 1, or by one ulp where 1 rounds away."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        pad = max(1.0, math.ulp(lo))
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    return lo, hi
 
 
-def _fmt(v):
-    return f"{v:.4g}"
-
-
-def render_scatter(xs, ys, title="", xlabel="", ylabel="", mode="points") -> str:
+def render_scatter(xs, ys, title, xlabel, ylabel, mode="points") -> str:
     """Return an SVG document plotting (xs, ys) as points or a polyline."""
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equal-length nonempty coordinate lists")
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
-    if xhi == xlo:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
-    if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    (xlo, xhi), (ylo, yhi) = _span(xs), _span(ys)
 
     def sx(x):
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
@@ -43,35 +41,26 @@ def render_scatter(xs, ys, title="", xlabel="", ylabel="", mode="points") -> str
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
+        f'<text x="{_W / 2}" y="25" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle" font-size="13">{xlabel}</text>',
+        f'<text x="15" y="{_H / 2}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 15 {_H / 2})">{ylabel}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2}" y="25" text-anchor="middle" font-size="16">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle" font-size="13">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="15" y="{_H / 2}" text-anchor="middle" font-size="13" '
-            f'transform="rotate(-90 15 {_H / 2})">{ylabel}</text>'
-        )
-    for t in _ticks(xlo, xhi):
+    for t in (xlo, (xlo + xhi) / 2, xhi):
         parts.append(
             f'<line x1="{sx(t):.2f}" y1="{_H - _MB}" x2="{sx(t):.2f}" y2="{_H - _MB + 6}" stroke="black"/>'
         )
         parts.append(
             f'<text x="{sx(t):.2f}" y="{_H - _MB + 20}" text-anchor="middle" '
-            f'font-size="12">{_fmt(t)}</text>'
+            f'font-size="12">{t:.4g}</text>'
         )
-    for t in _ticks(ylo, yhi):
+    for t in (ylo, (ylo + yhi) / 2, yhi):
         parts.append(
             f'<line x1="{_ML - 6}" y1="{sy(t):.2f}" x2="{_ML}" y2="{sy(t):.2f}" stroke="black"/>'
         )
         parts.append(
             f'<text x="{_ML - 10}" y="{sy(t):.2f}" text-anchor="end" '
-            f'font-size="12">{_fmt(t)}</text>'
+            f'font-size="12">{t:.4g}</text>'
         )
     if mode == "line":
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

@@ -75,3 +75,11 @@ def test_wrong_exact_risk_fails_under_own_name(monkeypatch, criterion, name, det
     result = criterion(acceptance.DEFAULT_SEED, False)
     assert (result.name, result.passed) == (name, False)
     assert re.fullmatch(detail, result.detail), result.detail
+
+
+def test_c08_far_check_is_centred_on_its_first_order_value():
+    # at seed 913 the estimate sits 4.0 se above the limit 1/2 but 3.2 se
+    # above 1/2 + (p-1)/(2 sqrt(2 pi) theta), the value at theta = 1e4
+    result = acceptance.c08_exceedance(913, False)
+    assert result.passed, result.detail
+    assert "0.50200 +- 0.00050 (target 0.5003790)" in result.detail

@@ -1,13 +1,17 @@
 import errno
 import math
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stein_shrink import cli, monte_carlo
+from stein_shrink import cli, monte_carlo, svgplot
 from stein_shrink.conditional import conditional_delta_closed
 from stein_shrink.core import ProblemConfig
 from stein_shrink.monte_carlo import simulate_cloud
@@ -93,6 +97,23 @@ def _read_csv(path):
     return header, rows
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_HUGE_N = str(10**20)  # above monte_carlo.MAX_N
+
+
+def _run_capped(argv, cwd, seconds=10, address_space=2 << 30):
+    """`python -m stein_shrink.cli *argv` in cwd, under a timeout and an address-space cap."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    # one BLAS thread: each reserves tens of MB of address space, so on a
+    # many-core host numpy's import alone could exceed the cap
+    env = dict(os.environ, PYTHONPATH=str(_SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "stein_shrink.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=seconds, preexec_fn=cap, env=env)
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.run(["frobnicate"]) == 2
@@ -153,12 +174,14 @@ class TestExitCodes:
         (["conditional", "--p", "3", "--theta", "1e160", "--c", "1"], "delta_closed"),
         (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"], "delta_closed"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e200"], "delta_exact"),
+        (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e308"], "delta_exact"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e300", "--mc-n", "100"],
          "delta_exact"),
         (["risk-curve", "--p", "3", "--theta", "0:1:2", "--c", "1e150", "--mc-n", "100000"],
          "delta_mc_stderr"),
     ], ids=["conditional-huge-theta", "conditional-huge-p", "risk-curve-huge-c",
-            "risk-curve-mc-overflow", "risk-curve-mc-stderr-overflow"])
+            "risk-curve-c-inf-minus-inf", "risk-curve-mc-overflow",
+            "risk-curve-mc-stderr-overflow"])
     def test_non_finite_output_is_exit_1(self, tmp_path, capsys, argv, column):
         out = tmp_path / "x.csv"
         assert cli.run(argv + ["--out", str(out)]) == 1
@@ -426,10 +449,9 @@ class TestEntryPoint:
 
     @staticmethod
     def _main(*argv):
-        src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
             [sys.executable, "-m", "stein_shrink.cli", *argv],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(_SRC)),
         )
 
     def test_writes_what_run_writes(self, tmp_path):
@@ -443,3 +465,150 @@ class TestEntryPoint:
         proc = self._main("cloud", "--p", "5")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv, message", [
+        (["--theta", "abc", "--c", "1"], "expected a finite number, got 'abc'"),
+        (["--theta", "0:1:2.5", "--c", "1"], "bad range '0:1:2.5'"),
+        (["--theta", "0:1:1", "--c", "1"], "range count must be >= 2 in '0:1:1'"),
+    ], ids=["theta-not-a-number", "count-not-an-integer", "count-below-two"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert cli.run(["risk-curve", "--p", "5", *argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, text, values", [
+        ("--c", "1:5:5", [1.0, 2.0, 3.0, 4.0, 5.0]),
+        ("--theta", "0,1,5", [0.0, 1.0, 5.0]),
+    ], ids=["c-range", "theta-list"])
+    def test_theta_and_c_share_one_grammar(self, tmp_path, flag, text, values):
+        out = tmp_path / "x.csv"
+        other = "--theta" if flag == "--c" else "--c"
+        assert cli.run(["risk-curve", "--p", "5", flag, text, other, "2",
+                        "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        column = 2 if flag == "--c" else 1
+        assert [float(row[column]) for row in rows] == values
+
+    def test_bad_dimension_list_is_usage_error(self, tmp_path, capsys):
+        assert cli.run(["special", "--p", "5,x", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad dimension list '5,x'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cloud", "--p", "5", "--theta", "1", "--n", "0"], "need 1 <= n"),
+        (["exceedance", "--p", "5", "--theta", "1", "--n", "1"], "need 2 <= n"),
+    ], ids=["cloud-n-0", "exceedance-n-1"])
+    def test_too_few_draws_is_exit_1(self, tmp_path, capsys, argv, message):
+        assert cli.run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("argv", [
+        ["risk-curve", "--p", "3", "--theta", "0:4:5", "--c", "1", "--mc-n", str(10**15)],
+        ["cloud", "--p", "3", "--theta", "0", "--n", _HUGE_N],
+        ["exceedance", "--p", "3", "--theta", "0", "--n", _HUGE_N],
+    ], ids=["risk-curve", "cloud", "exceedance"])
+    def test_n_above_the_cap_exits_1_before_any_draw(self, tmp_path, argv):
+        proc = _run_capped(argv + ["--out", "x.csv"], tmp_path)
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: need ") and f"n <= {monte_carlo.MAX_N}, got" in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config, n):
+            raise MemoryError("cannot hold the cloud")
+
+        monkeypatch.setattr(cli, "simulate_cloud", exhausted)
+        assert cli.run(["cloud", "--p", "3", "--theta", "0", "--n", "10",
+                        "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: cannot hold the cloud\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPlot:
+    def test_flat_x_range_at_huge_theta(self, tmp_path):
+        # x1 = 1e20 + z rounds to 1e20 for every draw, and 1e20 +- 1.0 to 1e20
+        out, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+        assert cli.run(["cloud", "--p", "3", "--theta", "1e20", "--n", "50",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        assert svg.read_text().count('<circle cx="425.00"') == 50
+
+    @pytest.mark.parametrize("x, y, where", [
+        (1e300, 1e300, 'cx="425.00" cy="295.00"'),
+        (sys.float_info.max, -sys.float_info.max, 'cx="780.00" cy="550.00"'),
+    ], ids=["1e300", "float-max"])
+    def test_flat_range_at_any_finite_magnitude(self, x, y, where):
+        text = svgplot.render_scatter([x, x], [y, y], "t", "x", "y")
+        assert text.count(f"<circle {where}") == 2
+
+    def test_failed_plot_writes_neither_file(self, tmp_path, capsys, monkeypatch):
+        def broken(**plot):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "render_scatter", broken)
+        assert cli.run(["cloud", "--p", "3", "--theta", "1", "--n", "10", "--out",
+                        str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")]) == 1
+        assert capsys.readouterr().err == "error: float division by zero\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def _field(common, edges):
+    """Mostly common values, so that an edge value is often the only one in its argv."""
+    return st.sampled_from(common * 3 + edges)
+
+
+_SEED = _field(["0", "7"], ["-1", str(2**64)])
+_N = _field(["2", "40"], ["0", "1", _HUGE_N])
+_P = _field(["3", "5"], ["1", "1e20", str(10**20)])
+_THETA = _field(["0", "2.5"], ["1e20", "1e308", "0:3:3", "0,1,5", "", "abc"])
+_C = _field(["1", "1,3"], ["1e308", "1:5:3", ""])
+
+
+@st.composite
+def _argv(draw):
+    """One command line of every subcommand's grammar, with edge values in each field."""
+    command = draw(st.sampled_from(["cloud", "risk-curve", "conditional", "geometry",
+                                    "special", "exceedance", "verify"]))
+    if command == "verify":
+        return [command, "--fast", f"--seed={draw(st.sampled_from(['-1', str(2**64)]))}"]
+    if command == "special":
+        p = draw(_field(["5", "5,10"], ["", "5,x", str(10**20)]))
+        return [command, f"--p={p}", "--out", "out.csv"]
+    argv = [command, f"--p={draw(_P)}", f"--theta={draw(_THETA)}"]
+    if command in ("risk-curve", "conditional"):
+        argv.append(f"--c={draw(_C)}")
+    if command in ("cloud", "exceedance"):
+        argv += [f"--n={draw(_N)}", f"--seed={draw(_SEED)}"]
+    if command == "risk-curve" and draw(st.booleans()):
+        argv += [f"--mc-n={draw(_N)}", f"--seed={draw(_SEED)}"]
+    argv += ["--out", "out.csv"]
+    if command in ("cloud", "risk-curve", "geometry") and draw(st.booleans()):
+        argv += ["--svg", "out.svg"]
+    return argv
+
+
+class TestContract:
+    """Any command line exits 0, 1 or 2; a failure is one `error:` line and no file."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv())
+    def test_exit_code_message_and_files(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            proc = _run_capped(argv, d)
+            files = sorted(os.listdir(d))
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            assert files == sorted(a for a in ("out.csv", "out.svg") if a in argv)
+        else:
+            assert [line for line in proc.stderr.splitlines()
+                    if line.startswith("error:")] == proc.stderr.splitlines()[:1]
+            assert files == []

@@ -6,8 +6,8 @@ from stein_shrink import EstimatorSpec, shrink_factor
 
 class TestShrinkFactor:
     def test_identity_is_one(self):
-        assert shrink_factor(EstimatorSpec.identity(), 0.0, 3) == 1.0
-        assert shrink_factor(EstimatorSpec.identity(), 123.4, 7) == 1.0
+        assert shrink_factor(EstimatorSpec(), 0.0, 3) == 1.0
+        assert shrink_factor(EstimatorSpec(), 123.4, 7) == 1.0
 
     def test_shrink_c_hand_value(self):
         # the p=5, theta=3 instance: 1 - 4/13
@@ -28,10 +28,10 @@ class TestShrinkFactor:
                 shrink_factor(spec, 0.0, 3)
 
     def test_origin_legal_for_identity_and_regularized(self):
-        assert shrink_factor(EstimatorSpec.identity(), 0.0, 3) == 1.0
+        assert shrink_factor(EstimatorSpec(), 0.0, 3) == 1.0
         assert shrink_factor(EstimatorSpec.shrink_a(1.0, 2.0), 0.0, 3) == 0.5
         nsq = np.array([0.0, 2.0])
-        assert shrink_factor(EstimatorSpec.identity(), nsq, 3).tolist() == [1.0, 1.0]
+        assert shrink_factor(EstimatorSpec(), nsq, 3).tolist() == [1.0, 1.0]
         assert shrink_factor(EstimatorSpec.shrink_a(1.0, 2.0), nsq, 3).tolist() == [0.5, 0.75]
 
     def test_negative_norm_sq_rejected(self):
@@ -42,14 +42,14 @@ class TestShrinkFactor:
 class TestShrinkFactorEdges:
     # The domain checks skip NaN, as the comparisons `x < 0` and `x == 0` do.
     def test_empty_array(self):
-        for spec in (EstimatorSpec.identity(), EstimatorSpec.shrink(1.0),
+        for spec in (EstimatorSpec(), EstimatorSpec.shrink(1.0),
                      EstimatorSpec.shrink_a(1.0, 2.0)):
             out = shrink_factor(spec, np.array([]), 3)
             assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_zero_d_input_gives_a_scalar(self):
         for spec, nsq, expected in (
-            (EstimatorSpec.identity(), 2.5, 1.0),
+            (EstimatorSpec(), 2.5, 1.0),
             (EstimatorSpec.shrink(4.0), 13.0, 1.0 - 4.0 / 13.0),
             (EstimatorSpec.shrink_a(3.0, 10.0), 2.5, 1.0 - 3.0 / (10.0 + 2.5)),
         ):

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from stein_shrink import (
-    EstimatorSpec,
-    ProblemConfig,
-    estimate_delta_mc,
-    risk_delta_approx,
-    risk_delta_exact,
-    risk_exact,
-)
+from stein_shrink import ProblemConfig, estimate_delta_mc, risk_delta_approx, risk_delta_exact
 
 
 class TestRiskDeltaExact:
     def test_james_stein_risk_at_origin(self):
         # R(0, delta_1) = 2 at p = 3: the factor-2 reading of the identity
         assert risk_delta_exact(3, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+        # the risk p - Delta is 2 at theta = 0 for c = 1, p = 3 and c = 3, p = 5
+        assert 3 - risk_delta_exact(3, 0.0, 1.0) == pytest.approx(2.0)
+        assert 5 - risk_delta_exact(5, 0.0, 3.0) == pytest.approx(2.0)
 
     def test_zero_at_c_zero(self):
         for p in (3, 5, 9):
@@ -66,20 +62,6 @@ class TestRiskDeltaApprox:
         exact = risk_delta_exact(5, 100.0, 3.0)
         approx = risk_delta_approx(5, 100.0, 3.0)
         assert abs(exact - approx) / exact < 0.01
-
-
-class TestRiskExact:
-    def test_identity_risk_is_p(self):
-        assert risk_exact(3, 17.0, EstimatorSpec.identity()) == 3.0
-        assert risk_exact(50, 0.0, EstimatorSpec.identity()) == 50.0
-
-    def test_shrink_values(self):
-        assert risk_exact(3, 0.0, EstimatorSpec.shrink(1.0)) == pytest.approx(2.0)
-        assert risk_exact(5, 0.0, EstimatorSpec.shrink(3.0)) == pytest.approx(2.0)
-
-    def test_unsupported_kinds_redirect_to_mc(self):
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            risk_exact(5, 1.0, EstimatorSpec.shrink_a(1.0, 1.0))
 
 
 class TestOracleEquivalence:

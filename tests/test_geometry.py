@@ -43,7 +43,8 @@ class TestProjectionInvariants:
     def test_perpendicularity_and_pythagoras(self, p, theta):
         rep = ngo_projection(p, theta)
         assert float((rep.a - rep.c_point) @ rep.b) == pytest.approx(0.0, abs=1e-10)
-        assert rep.len_ac**2 + rep.len_bc**2 == pytest.approx(rep.len_ab**2, rel=1e-12)
+        len_ac = float(np.linalg.norm(rep.a - rep.c_point))
+        assert len_ac**2 + rep.len_bc**2 == pytest.approx(rep.len_ab**2, rel=1e-12)
 
     def test_c_is_closest_point_on_ray(self):
         rep = ngo_projection(7, 2.5)

@@ -63,7 +63,7 @@ class TestSimulateCloud:
 class TestRiskEstimation:
     def test_identity_risk_is_p(self):
         cfg = ProblemConfig(7, 3.0, seed=5)
-        est = estimate_risk_mc(cfg, EstimatorSpec.identity(), 400_000)
+        est = estimate_risk_mc(cfg, EstimatorSpec(), 400_000)
         assert abs(est.mean - 7.0) <= 4 * est.stderr
 
     def test_window_edge_matches_identity_risk(self):
@@ -90,7 +90,7 @@ class TestRiskEstimation:
 
     def test_full_vector_path_at_theta_zero(self):
         cfg = ProblemConfig(5, 0.0, seed=21)
-        mean, stderr = _risk_full_vectors(cfg, EstimatorSpec.identity(), 40_000)
+        mean, stderr = _risk_full_vectors(cfg, EstimatorSpec(), 40_000)
         assert abs(mean - 5.0) <= 4 * stderr
 
 
@@ -107,7 +107,7 @@ class TestInfiniteRisk:
 
     def test_p2_regularised_and_identity_estimate(self):
         cfg = ProblemConfig(2, 1.0, seed=0)
-        identity = estimate_risk_mc(cfg, EstimatorSpec.identity(), 10_000)
+        identity = estimate_risk_mc(cfg, EstimatorSpec(), 10_000)
         assert abs(identity.mean - 2.0) <= 4 * identity.stderr
         regular = estimate_risk_mc(cfg, EstimatorSpec.shrink_a(1.0, 1.0), 10_000)
         assert math.isfinite(regular.mean) and regular.stderr > 0
@@ -173,7 +173,7 @@ class TestDeltaEstimation:
     def test_paired_beats_unpaired(self):
         p, t, c, n = 8, 3.0, 6.0, 200_000
         paired = estimate_delta_mc(ProblemConfig(p, t, seed=41), c, n)
-        r0 = estimate_risk_mc(ProblemConfig(p, t, seed=42), EstimatorSpec.identity(), n)
+        r0 = estimate_risk_mc(ProblemConfig(p, t, seed=42), EstimatorSpec(), n)
         r1 = estimate_risk_mc(ProblemConfig(p, t, seed=43), EstimatorSpec.shrink(c), n)
         unpaired_se = math.hypot(r0.stderr, r1.stderr)
         assert paired.stderr < unpaired_se
@@ -263,3 +263,10 @@ class TestBitExactRegression:
     def test_exceedance(self):
         est = estimate_exceedance_prob(ProblemConfig(5, 2.0, seed=23), self.N2)
         assert self._hex(est) == ("0x1.b3409e1c039f2p-1", "0x1.0248887bec9b2p-11")
+
+    def test_chunk_partials_are_summed_left_to_right(self, monkeypatch):
+        # a compensated sum (sum() of floats from Python 3.12 on) gives (1.0, 1.0) first
+        parts = [[(1.0, 1.0), (2.0, 0.5)], [(1e100, 1e100), (1.0, 0.5)],
+                 [(-1e100, -1e100), (0.5, 4.0)]]
+        monkeypatch.setattr(monte_carlo, "_map_chunks", lambda *args, **kwargs: parts)
+        assert monte_carlo._sums(None, 0, 3, None) == [(0.0, 0.0), (3.5, 5.0)]
