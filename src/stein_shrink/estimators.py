@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EstimatorSpec", "shrink_factor"]
+__all__ = ["EstimatorSpec", "shrink_factor", "shrink_gaps"]
 
 
 @dataclass(frozen=True)
@@ -37,26 +37,33 @@ class EstimatorSpec:
         return cls(c=c, a=a)
 
 
-def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None, *, out=None):
-    """Scalar multiplier tau applied to the observation; vectorized over norm_sq.
+def shrink_gaps(specs, norm_sq, *, out=None):
+    """Yield g = 1 - tau = c/(a + norm_sq) for each spec, into `out` (norm_sq itself
+    only for one spec) or a new array; norm_sq is checked once for all specs.
 
-    `p` is accepted for callers that pass it and is not used.  `out`, an array
-    shaped like norm_sq and possibly norm_sq itself, receives tau.  Raises when
-    a = 0, c != 0 and norm_sq is 0: the factor is undefined at the origin, an
-    event of probability zero under the model.  NaN entries pass both checks.
+    Raises when a = 0, c != 0 and norm_sq is 0: the factor is undefined at the
+    origin, an event of probability zero under the model.  NaN entries pass.
     """
     norm_sq = np.asarray(norm_sq, dtype=float)
     # one pass for both checks; fmin skips NaN, as the comparisons x < 0 and x == 0 do
     low = np.fmin.reduce(norm_sq, axis=None, initial=np.inf)
     if low < 0:
         raise ValueError("norm_sq must be >= 0")
-    out = np.empty_like(norm_sq) if out is None else out
-    if spec.c == 0.0:
-        out.fill(1.0)
-    else:
-        if spec.a == 0.0 and low == 0.0:
-            raise ValueError("shrinkage undefined at origin")
-        denom = norm_sq if spec.a == 0.0 else np.add(spec.a, norm_sq, out=out)
-        np.divide(spec.c, denom, out=out)
-        np.subtract(1.0, out, out=out)
-    return out[()] if out.ndim == 0 else out
+    for spec in specs:
+        g = np.empty_like(norm_sq) if out is None else out
+        if spec.c == 0.0:
+            g.fill(0.0)
+        else:
+            if spec.a == 0.0 and low == 0.0:
+                raise ValueError("shrinkage undefined at origin")
+            denom = norm_sq if spec.a == 0.0 else np.add(spec.a, norm_sq, out=g)
+            np.divide(spec.c, denom, out=g)
+        yield g
+
+
+def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None, *, out=None):
+    """The multiplier tau = 1 - g applied to the observation, into `out` (possibly
+    norm_sq itself); see shrink_gaps.  `p` is accepted for callers and not used."""
+    [g] = shrink_gaps([spec], norm_sq, out=out)
+    np.subtract(1.0, g, out=g)
+    return g[()] if g.ndim == 0 else g

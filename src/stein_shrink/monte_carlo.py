@@ -6,13 +6,18 @@ chi-square draw per replication), so cost is independent of the dimension p.
 The draws z ~ N(0, 1) and r2 ~ chi^2_{p-1} do not depend on theta (x1 = |theta|
 + z), so configs that share p and seed share each chunk's draws.
 
-Replications are split into fixed-size chunks; each chunk owns an RNG stream
-derived deterministically from (seed, operation tag, chunk index), and chunk
-results are added left to right in chunk order.  Output is therefore
-bit-identical for a given (config, n) regardless of how many workers execute
-the chunks or which Python runs them.  n is capped at MAX_N.
+The paired difference |x - theta|^2 - |tau x - theta|^2 is g (u - g |x|^2),
+with g = 1 - tau and u = 2 x.(x - theta) = 2 (x1 z + r2): no two nearly equal
+losses are subtracted.  It is scored in blocks of _BLOCK draws, which fit L2.
 
-The reduction may overwrite each array a chunk yields, and the chunk may reuse
+Replications are split into fixed-size chunks; each chunk owns an RNG stream
+derived deterministically from (seed, operation tag, chunk index).  Block
+results are added left to right within a chunk, and chunk results left to
+right in chunk order.  Output is therefore bit-identical for a given
+(config, n) regardless of how many workers execute the chunks or which Python
+runs them.  n is capped at MAX_N.
+
+The reduction may overwrite each array a block yields, and the block may reuse
 that buffer once its generator resumes; buffers are allocated per chunk call,
 so workers never share one.  A chunk's arithmetic runs under np.errstate (per
 thread), so an overflow gives an inf or NaN estimate and no warning.
@@ -20,6 +25,7 @@ thread), so an overflow gives an inf or NaN estimate and no warning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemConfig
-from .estimators import EstimatorSpec, shrink_factor
+from .estimators import EstimatorSpec, shrink_factor, shrink_gaps
 
 __all__ = [
     "RiskEstimate",
@@ -40,6 +46,7 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 19
 MAX_N = 1 << 32  # replications per call, checked before any chunk is made
+_BLOCK = 1 << 14  # draws the paired difference scores at a time: its buffers stay in L2
 
 # Operation tags keep the streams of distinct operations disjoint.
 _TAG_CLOUD = 1
@@ -83,8 +90,16 @@ def _map_chunks(config, tag, n, chunk_fn, workers=1, min_n=2):
         return list(ex.map(run, range(len(counts))))
 
 
-def _sums(config, tag, n, values_fn, workers=1):
-    """(sum, sum of squares) over n draws of each array values_fn(rng, count) yields."""
+def _fold(parts):
+    """Add (sum, sum of squares) partials left to right from 0.0, unlike sum() from 3.12."""
+    sums = itertools.repeat((0.0, 0.0))
+    for part in parts:
+        sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
+    return sums
+
+
+def _sums(config, tag, n, blocks_fn, workers=1):
+    """(sum, sum of squares) over n draws of each array a block of blocks_fn(rng, count) yields."""
 
     def sum_sq(v):
         total = float(v.sum())
@@ -94,13 +109,9 @@ def _sums(config, tag, n, values_fn, workers=1):
     def chunk(rng, m):
         # sum_sq squares v in place; the producer may reuse v once it resumes
         with np.errstate(over="ignore", invalid="ignore"):
-            return list(map(sum_sq, values_fn(rng, m)))
+            return _fold(map(sum_sq, block) for block in blocks_fn(rng, m))
 
-    parts = _map_chunks(config, tag, n, chunk, workers)
-    sums = [(0.0, 0.0)] * len(parts[0])
-    for part in parts:  # left to right: from Python 3.12 on, sum() of floats is compensated
-        sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
-    return sums
+    return _fold(_map_chunks(config, tag, n, chunk, workers))
 
 
 def _moments_to_estimate(total, total_sq, n):
@@ -157,7 +168,7 @@ def estimate_risk_mc(
     def chunk(rng, m):
         z, r2 = _draw(rng, p, m)
         x1 = np.add(t, z, out=z)
-        yield _loss_z(spec, x1, r2, x1 * x1 + r2, t, out=x1)
+        yield [_loss_z(spec, x1, r2, x1 * x1 + r2, t, out=x1)]
 
     [(total, total_sq)] = _sums(config, _TAG_RISK, n, chunk, workers)
     return _moments_to_estimate(total, total_sq, n)
@@ -186,20 +197,25 @@ def estimate_delta_mc(config, specs, n: int, workers: int = 1):
     p, thetas = configs[0].p, [cfg.theta_norm for cfg in configs]
     _check_finite_risk(p, specs)
 
-    def chunk(rng, m):
-        z, r2 = _draw(rng, p, m)
-        x1, base, norm_sq, diff = (np.empty(m) for _ in range(4))
+    def block(z, r2, x1, norm_sq, u, d):
         for t in thetas:
             np.add(t, z, out=x1)
-            np.subtract(x1, t, out=base)  # the identity's loss: tau = 1 exactly
-            base *= base
-            base += r2
-            for spec in specs:
-                # _loss_z overwrites norm_sq, so |x|^2 is formed again per spec
-                np.multiply(x1, x1, out=norm_sq)
-                norm_sq += r2
-                _loss_z(spec, x1, r2, norm_sq, t, out=diff)
-                yield np.subtract(base, diff, out=diff)
+            np.multiply(x1, x1, out=norm_sq)
+            norm_sq += r2
+            np.multiply(x1, z, out=u)  # u = 2 x.(x - theta) = 2 (x1 z + r2)
+            u += r2
+            u *= 2.0
+            for g in shrink_gaps(specs, norm_sq, out=x1):  # x1 is spent
+                np.multiply(g, norm_sq, out=d)
+                np.subtract(u, d, out=d)
+                d *= g
+                yield d
+
+    def chunk(rng, m):
+        z, r2 = _draw(rng, p, m)
+        bufs = [np.empty(min(m, _BLOCK)) for _ in range(4)]
+        for lo in range(0, m, _BLOCK):
+            yield block(z[lo:lo + _BLOCK], r2[lo:lo + _BLOCK], *(b[:m - lo] for b in bufs))
 
     sums = iter(_sums(configs[0], _TAG_DELTA, n, chunk, workers))
     results = [[_moments_to_estimate(*next(sums), n) for _ in specs] for _ in configs]
@@ -217,7 +233,7 @@ def estimate_exceedance_prob(
         # |X|^2 >= t^2 as z (2t + z) + r2 >= 0 with z = x1 - t: for a huge t,
         # t + z rounds to t and t * t overflows, and either loses the event.
         z, r2 = _draw(rng, p, m)
-        yield z * (2.0 * t + z) + r2 >= 0.0
+        yield [z * (2.0 * t + z) + r2 >= 0.0]
 
     [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers)
     phat = hits / n

@@ -76,13 +76,20 @@ idx,x1,r
 
 _GOLDEN_RISK_CURVE = """\
 p,theta,c,delta_exact,delta_approx,delta_mc_mean,delta_mc_stderr
-5,0,1,1.6666666666666665,1,1.6734660906104788,0.0077376936503341567
+5,0,1,1.6666666666666665,1,1.6734660906104786,0.0077376936503341723
 5,0,3,3,1.8,3.0611948154943089,0.069639242853007502
-5,5,1,0.19163016971217833,0.16666666666666666,0.18161605814096379,0.007922677171157173
+5,5,1,0.19163016971217833,0.16666666666666666,0.18161605814096382,0.007922677171157173
 5,5,3,0.344934305481921,0.29999999999999999,0.31243749624756789,0.025899627963931474
-5,10,1,0.049494841921753116,0.047619047619047623,0.044064694020473562,0.0043672583611382813
-5,10,3,0.089090715459155617,0.085714285714285715,0.072488949660430957,0.013372198311329896
+5,10,1,0.049494841921753116,0.047619047619047623,0.044064694020473513,0.0043672583611382831
+5,10,3,0.089090715459155617,0.085714285714285715,0.072488949660430901,0.013372198311329896
 """
+# The delta_mc_* columns above when the paired difference was the difference
+# of two losses, scored per chunk.
+_OLD_RISK_CURVE_MC = [
+    (1.6734660906104788, 0.0077376936503341567), (3.0611948154943089, 0.069639242853007502),
+    (0.18161605814096379, 0.007922677171157173), (0.31243749624756789, 0.025899627963931474),
+    (0.044064694020473562, 0.0043672583611382813), (0.072488949660430957, 0.013372198311329896),
+]
 
 _GOLDEN_EXCEEDANCE = """\
 p,theta,prob,stderr
@@ -160,10 +167,20 @@ class TestExitCodes:
                         "--mc-n", mc_n, "--out", out]) == 2
 
     def test_overflowing_theta_is_exit_1(self, tmp_path, capsys):
+        # the exact route passes theta^2 overflow; the Monte Carlo |x|^2 is inf,
+        # and g |x|^2 = 0 * inf a NaN, not a silent 0,0
         out = str(tmp_path / "x.csv")
-        assert cli.run(["risk-curve", "--p", "5", "--theta", "1e200",
-                        "--c", "1", "--out", out]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert cli.run(["risk-curve", "--p", "5", "--theta", "1e160",
+                        "--c", "1", "--mc-n", "100", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: delta_mc_mean is nan, not a finite number\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exact_route_past_theta_squared_overflow(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli.run(["risk-curve", "--p", "5", "--theta", "1e160,1e300",
+                        "--c", "1", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [row[3:5] for row in rows] == [["4.999944335913415e-320"] * 2, ["0", "0"]]
 
     def test_missing_output_directory_is_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "x.csv")
@@ -267,6 +284,11 @@ class TestOutputFiles:
         out = tmp_path / "out.csv"
         assert cli.run(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == golden.encode()
+
+    def test_golden_risk_curve_moved_only_by_rounding(self):
+        rows = [line.split(",")[5:] for line in _GOLDEN_RISK_CURVE.splitlines()[1:]]
+        for row, old in zip(rows, _OLD_RISK_CURVE_MC, strict=True):
+            assert list(map(float, row)) == pytest.approx(old, rel=1e-14, abs=0.0)
 
 
 class TestCsvWriter:

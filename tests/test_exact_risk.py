@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +42,30 @@ class TestRiskDeltaExact:
                 cs = np.linspace(0, 2 * (p - 2), 401)
                 vals = [risk_delta_exact(p, t, c) for c in cs]
                 assert cs[int(np.argmax(vals))] == pytest.approx(p - 2, abs=0.01)
+
+
+class TestPastThetaSquaredOverflow:
+    # theta^2 overflows from theta ~ 1.34e154, but Delta stays finite (subnormal
+    # from theta ~ 1.5e154) up to theta ~ 1e162
+    @pytest.mark.parametrize("theta", [1.5e154, 1e160])
+    @pytest.mark.parametrize("p", [3, 5, 20])
+    def test_matches_mpmath(self, p, theta):
+        cs = [0.5, 1.0, p - 2.0, 1.5 * (p - 2)]
+        got = risk_delta_exact(p, theta, np.array(cs))
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(theta) ** 2
+            m1 = mpmath.hyp1f1(1, mpmath.mpf(p) / 2, -lam / 2) / (p - 2)
+            for c, g in zip(cs, got):
+                want = float(2 * m1 * (c * (p - 2) - mpmath.mpf(c) ** 2 / 2))
+                assert abs(g - want) <= 4 * math.ulp(want)
+
+    def test_approx_past_overflow(self):
+        want = float(mpmath.mpf(2) / (mpmath.mpf(1e160) ** 2 + 5) * 2.5)
+        assert abs(risk_delta_approx(5, 1e160, 1.0) - want) <= 4 * math.ulp(want)
+
+    def test_underflow_is_zero(self):
+        assert risk_delta_exact(5, 1e300, 1.0) == 0.0
+        assert risk_delta_approx(5, 1e300, 1.0) == 0.0
 
 
 class TestRiskDeltaApprox:

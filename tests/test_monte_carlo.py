@@ -14,7 +14,7 @@ from stein_shrink import (
     simulate_cloud,
 )
 from stein_shrink import monte_carlo
-from stein_shrink.monte_carlo import CHUNK_SIZE
+from stein_shrink.monte_carlo import _BLOCK, CHUNK_SIZE
 
 
 def _risk_full_vectors(cfg, spec, n):
@@ -187,6 +187,48 @@ class TestDeltaEstimation:
         assert abs(nsq.mean() - 125.0) <= gate
 
 
+def _delta_longdouble(p, t, spec, n, seed):
+    """(mean, stderr) of |x - theta|^2 - |tau x - theta|^2 in np.longdouble, on the
+    chunk draws estimate_delta_mc makes: SeedSequence([seed, 3, i]) for chunk i."""
+    d = []
+    for i, lo in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3, i])))
+        m = min(CHUNK_SIZE, n - lo)
+        z = rng.standard_normal(m).astype(np.longdouble)
+        r2 = rng.chisquare(p - 1, m).astype(np.longdouble)
+        x1 = t + z
+        tau = 1 - spec.c / (spec.a + x1 * x1 + r2)
+        d.append(z * z + r2 - ((tau * x1 - t) ** 2 + tau * tau * r2))
+    d = np.concatenate(d)
+    mean = d.sum() / n
+    return float(mean), float(np.sqrt(((d - mean) ** 2).sum() / (n - 1) / n))
+
+
+class TestBlockedDifference:
+    @pytest.mark.parametrize("n", [2, _BLOCK, _BLOCK + 1, CHUNK_SIZE + 1])
+    def test_matches_longdouble_direct_difference(self, n):
+        specs = [EstimatorSpec.shrink(3.0), EstimatorSpec.shrink_a(3.0, 10.0)]
+        configs = [ProblemConfig(5, t, seed=29) for t in (0.0, 3.0)]
+        got = estimate_delta_mc(configs, specs, n)
+        assert got == estimate_delta_mc(configs, specs, n, workers=4)
+        for cfg, ests in zip(configs, got):
+            for spec, est in zip(specs, ests):
+                mean, stderr = _delta_longdouble(5, cfg.theta_norm, spec, n, 29)
+                assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+                assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    def test_no_cancellation_at_large_theta(self):
+        # d = g (u - g|x|^2) ~ 2c z/theta: se sqrt(n) theta/(2c) is the sample
+        # SD of z at every large theta.  Two nearly equal losses, subtracted,
+        # gave 0.99987 / 0.99328 / 0 here.
+        n, c, thetas = 1 << 20, 3.0, (1e6, 1e8, 1e12)
+        ests = estimate_delta_mc([ProblemConfig(5, t, seed=7) for t in thetas], c, n)
+        sds = [e.stderr * math.sqrt(n) * t / (2 * c) for e, t in zip(ests, thetas)]
+        assert ests[-1].stderr > 0
+        assert sds[1] == pytest.approx(sds[0], rel=1e-6)
+        assert sds[2] == pytest.approx(sds[0], rel=1e-6)
+
+
 class TestExceedance:
     def test_theta_zero_is_certain(self):
         est = estimate_exceedance_prob(ProblemConfig(4, 0.0, seed=0), 10_000)
@@ -207,18 +249,28 @@ class TestExceedance:
 
 
 class TestBitExactRegression:
-    # float.hex of (mean, stderr), recorded before the loss arithmetic was
-    # fused and made in-place: any reordering of a floating-point operation
+    # float.hex of (mean, stderr): any reordering of a floating-point operation
     # in the sampling, loss or reduction path moves a last bit here.  The
-    # golden CSVs in test_cli.py hold only single-chunk plain shrinkage.
+    # paired-difference pins were recorded when it was first scored in blocks
+    # as g (u - g |x|^2); the risk and exceedance pins are older.  The golden
+    # CSVs in test_cli.py hold only single-chunk plain shrinkage.
     N3 = 2 * CHUNK_SIZE + 12345  # three chunks, the last one partial
     N2 = CHUNK_SIZE + 777
 
     DELTA_P5 = [
         ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.eed5858cda584p-2", "0x1.f2878f6f8a8ebp-12"),
+        ("0x1.bdd185c111b30p-1", "0x1.da645666c107bp-10"),
+        ("0x1.b9ecb4c86f3cep-1", "0x1.7c7ad7f368222p-11"),
+    ]
+    DELTA_C02 = ("0x1.edeb401162de2p-1", "0x1.201794c187be1p-5")
+    # the same five pins from the difference of two losses, scored per chunk
+    OLD_DELTA = [
+        ("0x0.0p+0", "0x0.0p+0"),
         ("0x1.eed5858cda584p-2", "0x1.f2878f6f8a8eap-12"),
         ("0x1.bdd185c111b32p-1", "0x1.da645666c107dp-10"),
         ("0x1.b9ecb4c86f3ccp-1", "0x1.7c7ad7f368224p-11"),
+        ("0x1.edeb401162de1p-1", "0x1.201794c187be1p-5"),
     ]
 
     @staticmethod
@@ -247,7 +299,13 @@ class TestBitExactRegression:
 
     def test_delta_c02_cell(self):
         est = estimate_delta_mc(ProblemConfig(3, 0.0, seed=17), 1.0, self.N2, workers=4)
-        assert self._hex(est) == ("0x1.edeb401162de1p-1", "0x1.201794c187be1p-5")
+        assert self._hex(est) == self.DELTA_C02
+
+    def test_delta_pins_moved_only_by_rounding(self):
+        # the g-form and the block sums moved no pin by more than 3e-16
+        for new, old in zip(self.DELTA_P5 + [self.DELTA_C02], self.OLD_DELTA):
+            for a, b in zip(map(float.fromhex, new), map(float.fromhex, old)):
+                assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "spec, expected",
