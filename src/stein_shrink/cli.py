@@ -55,18 +55,26 @@ def _conversion(name: str, column) -> str:
     return "%.17g"
 
 
+def _target(path: str) -> str:
+    """The file `path` names, through any symlink; a FIFO or device there is refused."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        raise OSError(f"not a regular file: {path!r}")
+    return target
+
+
 def _write_atomic(path: str, chunks):
-    """Write text chunks to a temp file, then rename it to `path`; an OSError names `path`."""
-    tmp = None
+    """Write text chunks to a temp file, then rename it to _target(path); OSErrors name `path`."""
+    target, tmp = _target(path), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as fh:
             # mkstemp creates the file 0600; give it the mode open() would.
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -189,10 +197,11 @@ def _build_parser() -> _Parser:
 def _emit(args, header, columns, plot=None) -> int:
     """Write columns to --out as CSV and, given --svg, render_scatter(**plot) to it.
 
-    The plot is rendered before either file is written, so a failed plot writes neither.
+    The plot is rendered, and --svg checked, before either file is written.
     """
     svg = None
     if plot is not None and args.svg:
+        _target(args.svg)
         plot = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in plot.items()}
         svg = render_scatter(**plot)
     _write_csv(args.out, header, columns)
@@ -294,7 +303,8 @@ def run(argv) -> int:
         return args.run(args)
     except (_UsageError, ValueError, RuntimeError, ArithmeticError, OSError,
             MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        blank = isinstance(exc, MemoryError) and not str(exc)  # as the allocator raises it
+        print(f"error: {'out of memory' if blank else exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 
 

@@ -38,8 +38,8 @@ class EstimatorSpec:
 
 
 def shrink_gaps(specs, norm_sq, *, out=None):
-    """Yield g = 1 - tau = c/(a + norm_sq) for each spec, into `out` (norm_sq itself
-    only for one spec) or a new array; norm_sq is checked once for all specs.
+    """Yield g = 1 - tau = c/(a + norm_sq) for each spec, into `out` or a new
+    array; norm_sq is checked once for all specs.
 
     Raises when a = 0, c != 0 and norm_sq is 0: the factor is undefined at the
     origin, an event of probability zero under the model.  NaN entries pass.
@@ -61,9 +61,9 @@ def shrink_gaps(specs, norm_sq, *, out=None):
         yield g
 
 
-def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None, *, out=None):
-    """The multiplier tau = 1 - g applied to the observation, into `out` (possibly
-    norm_sq itself); see shrink_gaps.  `p` is accepted for callers and not used."""
-    [g] = shrink_gaps([spec], norm_sq, out=out)
+def shrink_factor(spec: EstimatorSpec, norm_sq, p: int | None = None):
+    """The multiplier tau = 1 - g applied to the observation; see shrink_gaps.
+    `p` is accepted for callers and not used."""
+    [g] = shrink_gaps([spec], norm_sq)
     np.subtract(1.0, g, out=g)
     return g[()] if g.ndim == 0 else g

@@ -6,25 +6,26 @@ chi-square draw per replication), so cost is independent of the dimension p.
 The draws z ~ N(0, 1) and r2 ~ chi^2_{p-1} do not depend on theta (x1 = |theta|
 + z), so configs that share p and seed share each chunk's draws.
 
-The paired difference |x - theta|^2 - |tau x - theta|^2 is g (u - g |x|^2),
+The paired difference d = |x - theta|^2 - |tau x - theta|^2 is g (u - g |x|^2),
 with g = 1 - tau and u = 2 x.(x - theta) = 2 (x1 z + r2): no two nearly equal
-losses are subtracted.  It is scored in blocks of _BLOCK draws, which fit L2.
+losses are subtracted.  The risk is z^2 + r2 - d, so the identity's is free of
+theta to the bit.  Both are NaN where |x|^2 overflows (theta above ~1.34e154).
 
 Replications are split into fixed-size chunks; each chunk owns an RNG stream
-derived deterministically from (seed, operation tag, chunk index).  Block
-results are added left to right within a chunk, and chunk results left to
-right in chunk order.  Output is therefore bit-identical for a given
-(config, n) regardless of how many workers execute the chunks or which Python
-runs them.  n is capped at MAX_N.
-
-The reduction may overwrite each array a block yields, and the block may reuse
-that buffer once its generator resumes; buffers are allocated per chunk call,
-so workers never share one.  A chunk's arithmetic runs under np.errstate (per
-thread), so an overflow gives an inf or NaN estimate and no warning.
+derived from (seed, operation tag, chunk index).  Every sum runs one loop: a
+chunk's draws are scored in blocks of _BLOCK, which fit L2, by score(z, r2, x1,
+norm_sq, u, d), given a block's draws and four scratch buffers of its length,
+allocated per chunk call so that workers never share one.  The reduction
+squares each array score yields in place, so score may reuse it only once it
+resumes.  Block sums are added left to right within a chunk, and chunk sums in
+chunk order, so output is bit-identical for a given (config, n) whatever the
+workers or the Python.  n is capped at MAX_N.  Arithmetic runs under
+np.errstate (per thread): an overflow gives an inf or NaN estimate, no warning.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemConfig
-from .estimators import EstimatorSpec, shrink_factor, shrink_gaps
+from .estimators import EstimatorSpec, shrink_gaps
 
 __all__ = [
     "RiskEstimate",
@@ -98,8 +99,8 @@ def _fold(parts):
     return sums
 
 
-def _sums(config, tag, n, blocks_fn, workers=1):
-    """(sum, sum of squares) over n draws of each array a block of blocks_fn(rng, count) yields."""
+def _sums(config, tag, n, score, workers=1):
+    """(sum, sum of squares) over n draws of each array score(z, r2, x1, norm_sq, u, d) yields."""
 
     def sum_sq(v):
         total = float(v.sum())
@@ -107,9 +108,13 @@ def _sums(config, tag, n, blocks_fn, workers=1):
         return total, float(v.sum())
 
     def chunk(rng, m):
-        # sum_sq squares v in place; the producer may reuse v once it resumes
+        z, r2 = _draw(rng, config.p, m)
+        bufs = [np.empty(min(m, _BLOCK)) for _ in range(4)]
+        blocks = (score(z[lo:lo + _BLOCK], r2[lo:lo + _BLOCK], *(b[:m - lo] for b in bufs))
+                  for lo in range(0, m, _BLOCK))
+        # sum_sq squares each array in place; score may reuse it once it resumes
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fold(map(sum_sq, block) for block in blocks_fn(rng, m))
+            return _fold(map(sum_sq, block) for block in blocks)
 
     return _fold(_map_chunks(config, tag, n, chunk, workers))
 
@@ -132,16 +137,21 @@ def _draw(rng, p, m):
     return z, (rng.chisquare(p - 1, m) if p >= 2 else np.zeros(m))
 
 
-def _loss_z(spec, x1, r2, norm_sq, theta_norm, out=None):
-    """|tau x - theta|^2 per draw from norm_sq = x1^2 + r2 (overwritten), into `out`."""
-    f = shrink_factor(spec, norm_sq, out=norm_sq)
-    d = np.multiply(f, x1, out=out)
-    d -= theta_norm
-    d *= d
-    f *= f
-    f *= r2
-    d += f
-    return d
+def _paired(thetas, specs, z, r2, x1, norm_sq, u, d):
+    """Yield d = |x - theta|^2 - |tau x - theta|^2 = g (u - g |x|^2) into `d`, for
+    each theta, then each spec; x1, norm_sq and u are scratch."""
+    for t in thetas:
+        np.add(t, z, out=x1)
+        np.multiply(x1, x1, out=norm_sq)
+        norm_sq += r2
+        np.multiply(x1, z, out=u)  # u = 2 x.(x - theta) = 2 (x1 z + r2)
+        u += r2
+        u *= 2.0
+        for g in shrink_gaps(specs, norm_sq, out=x1):  # x1 is spent
+            np.multiply(g, norm_sq, out=d)
+            np.subtract(u, d, out=d)
+            d *= g
+            yield d
 
 
 def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
@@ -162,15 +172,17 @@ def estimate_risk_mc(
     config: ProblemConfig, spec: EstimatorSpec, n: int, workers: int = 1
 ) -> RiskEstimate:
     """Empirical risk of the estimator: mean squared error over n replications."""
-    p, t = config.p, config.theta_norm
-    _check_finite_risk(p, [spec])
+    _check_finite_risk(config.p, [spec])
 
-    def chunk(rng, m):
-        z, r2 = _draw(rng, p, m)
-        x1 = np.add(t, z, out=z)
-        yield [_loss_z(spec, x1, r2, x1 * x1 + r2, t, out=x1)]
+    def score(z, r2, x1, norm_sq, u, d):
+        # |tau x - theta|^2 = |x - theta|^2 - d = z^2 + r2 - d, into the spent u
+        [d] = _paired([config.theta_norm], [spec], z, r2, x1, norm_sq, u, d)
+        np.multiply(z, z, out=u)
+        u += r2
+        u -= d
+        yield u
 
-    [(total, total_sq)] = _sums(config, _TAG_RISK, n, chunk, workers)
+    [(total, total_sq)] = _sums(config, _TAG_RISK, n, score, workers)
     return _moments_to_estimate(total, total_sq, n)
 
 
@@ -194,47 +206,23 @@ def estimate_delta_mc(config, specs, n: int, workers: int = 1):
     configs = [config] if isinstance(config, ProblemConfig) else list(config)
     if len({(cfg.p, cfg.seed) for cfg in configs}) != 1:
         raise ValueError("a config list must be non-empty and share p and seed")
-    p, thetas = configs[0].p, [cfg.theta_norm for cfg in configs]
-    _check_finite_risk(p, specs)
+    _check_finite_risk(configs[0].p, specs)
 
-    def block(z, r2, x1, norm_sq, u, d):
-        for t in thetas:
-            np.add(t, z, out=x1)
-            np.multiply(x1, x1, out=norm_sq)
-            norm_sq += r2
-            np.multiply(x1, z, out=u)  # u = 2 x.(x - theta) = 2 (x1 z + r2)
-            u += r2
-            u *= 2.0
-            for g in shrink_gaps(specs, norm_sq, out=x1):  # x1 is spent
-                np.multiply(g, norm_sq, out=d)
-                np.subtract(u, d, out=d)
-                d *= g
-                yield d
-
-    def chunk(rng, m):
-        z, r2 = _draw(rng, p, m)
-        bufs = [np.empty(min(m, _BLOCK)) for _ in range(4)]
-        for lo in range(0, m, _BLOCK):
-            yield block(z[lo:lo + _BLOCK], r2[lo:lo + _BLOCK], *(b[:m - lo] for b in bufs))
-
-    sums = iter(_sums(configs[0], _TAG_DELTA, n, chunk, workers))
+    score = functools.partial(_paired, [cfg.theta_norm for cfg in configs], specs)
+    sums = iter(_sums(configs[0], _TAG_DELTA, n, score, workers))
     results = [[_moments_to_estimate(*next(sums), n) for _ in specs] for _ in configs]
     results = [r[0] for r in results] if single else results
     return results[0] if isinstance(config, ProblemConfig) else results
 
 
-def estimate_exceedance_prob(
-    config: ProblemConfig, n: int, workers: int = 1
-) -> RiskEstimate:
+def estimate_exceedance_prob(config: ProblemConfig, n: int, workers: int = 1) -> RiskEstimate:
     """Empirical P(|X| >= |theta|), with a binomial standard error."""
-    p, t = config.p, config.theta_norm
 
-    def chunk(rng, m):
+    def score(z, r2, *scratch):
         # |X|^2 >= t^2 as z (2t + z) + r2 >= 0 with z = x1 - t: for a huge t,
         # t + z rounds to t and t * t overflows, and either loses the event.
-        z, r2 = _draw(rng, p, m)
-        yield [z * (2.0 * t + z) + r2 >= 0.0]
+        yield z * (2.0 * config.theta_norm + z) + r2 >= 0.0
 
-    [(hits, _)] = _sums(config, _TAG_EXCEED, n, chunk, workers)
+    [(hits, _)] = _sums(config, _TAG_EXCEED, n, score, workers)
     phat = hits / n
     return RiskEstimate(mean=phat, stderr=math.sqrt(phat * (1 - phat) / n), n=n)

@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -320,6 +321,42 @@ class TestCsvWriter:
         assert float(rows[1][1]) == pytest.approx(math.sqrt(1e17), rel=1e-15)
 
 
+class TestOutputTarget:
+    _ARGV = ["special", "--p", "5", "--out"]
+
+    def test_symlink_is_written_through_to_its_file(self, tmp_path):
+        direct, real, link = tmp_path / "direct.csv", tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        assert cli.run(self._ARGV + [str(direct)]) == 0
+        assert cli.run(self._ARGV + [str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == direct.read_bytes()
+
+    def test_dangling_symlink_creates_its_file(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert cli.run(self._ARGV + [str(link)]) == 0
+        assert link.is_symlink() and real.read_text().startswith("p,e_r_exact,")
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "symlink-to-fifo"])
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_fifo_is_refused_and_left_as_it_is(self, tmp_path, capsys, via_link, flag):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if via_link:
+            path = tmp_path / "link"
+            path.symlink_to(fifo)
+        argv = ["geometry", "--p", "5", "--theta", "2", "--out", str(tmp_path / "g.csv")]
+        argv = argv[:-1] + [str(path)] if flag == "--out" else argv + ["--svg", str(path)]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == f"error: not a regular file: {str(path)!r}\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert not via_link or path.is_symlink()
+        assert sorted(tmp_path.iterdir()) == sorted({fifo, path})
+
+
 class TestCloud:
     def test_rows_span_several_blocks(self, tmp_path):
         n = 2 * cli._BLOCK + 7
@@ -550,6 +587,18 @@ class TestSizeCap:
         assert cli.run(["cloud", "--p", "3", "--theta", "0", "--n", "10",
                         "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == "error: cannot hold the cloud\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_textless_memory_error_says_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # an allocation failure raises MemoryError() with no message
+        def exhausted(config, n):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "simulate_cloud", exhausted)
+        assert cli.run(["cloud", "--p", "3", "--theta", "0", "--n", "10",
+                        "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
 

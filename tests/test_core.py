@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stein_shrink import EstimatorSpec, ProblemConfig, shrink_factor
-from stein_shrink.monte_carlo import _loss_z
+from stein_shrink.monte_carlo import _paired
 
 
 def _full_loss(spec, x, theta):
@@ -15,8 +15,8 @@ def _full_loss(spec, x, theta):
 
 class TestReductionProperties:
     def test_distance_and_norm_preservation(self):
-        # The Monte Carlo loss kernel, fed the reduced coordinates of x, gives
-        # the full-coordinate loss.
+        # The Monte Carlo loss form, fed the reduced coordinates of x, gives the
+        # full-coordinate difference |x - theta|^2 - |tau x - theta|^2.
         rng = np.random.default_rng(20250)
         for _ in range(1000):
             p = int(rng.integers(2, 13))
@@ -30,8 +30,9 @@ class TestReductionProperties:
             resid = x - x1 * theta / t
             r2 = float(resid @ resid)
             assert x1 * x1 + r2 == pytest.approx(float(x @ x), rel=1e-10)
-            got = _loss_z(spec, np.array([x1]), np.array([r2]), np.array([x1 * x1 + r2]), t)[0]
-            assert got == pytest.approx(_full_loss(spec, x, theta), rel=1e-10)
+            [d] = _paired([t], [spec], np.array([x1 - t]), np.array([r2]), *np.empty((4, 1)))
+            want = float((x - theta) @ (x - theta)) - _full_loss(spec, x, theta)
+            assert d[0] == pytest.approx(want, rel=1e-10)
 
     def test_rotation_fixing_theta_leaves_z_unchanged(self):
         rng = np.random.default_rng(7)

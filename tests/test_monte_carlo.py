@@ -79,6 +79,13 @@ class TestRiskEstimation:
         b = estimate_risk_mc(cfg, spec, 700_000, workers=4)
         assert (a.mean, a.stderr, a.n) == (b.mean, b.stderr, b.n)
 
+    def test_identity_risk_is_free_of_theta(self):
+        # |x - theta|^2 = z^2 + r2 on every draw.  Formed as (x1 - theta)^2, with
+        # x1 = theta + z, it lost z to rounding and read 4.0013 at theta = 1e17.
+        ests = [estimate_risk_mc(ProblemConfig(5, t, seed=7), EstimatorSpec(), 200_000)
+                for t in (0.0, 3.0, 1e6, 1e17)]
+        assert ests == [ests[0]] * 4
+
     def test_z_path_agrees_with_full_vector_path(self):
         cfg = ProblemConfig(6, 2.0, seed=21)
         spec = EstimatorSpec.shrink(4.0)
@@ -187,18 +194,20 @@ class TestDeltaEstimation:
         assert abs(nsq.mean() - 125.0) <= gate
 
 
-def _delta_longdouble(p, t, spec, n, seed):
-    """(mean, stderr) of |x - theta|^2 - |tau x - theta|^2 in np.longdouble, on the
-    chunk draws estimate_delta_mc makes: SeedSequence([seed, 3, i]) for chunk i."""
+def _longdouble(p, t, spec, n, seed, tag=3):
+    """(mean, stderr) in np.longdouble of |x - theta|^2 - |tau x - theta|^2 (tag 3,
+    the paired difference) or of |tau x - theta|^2 (tag 2, the risk), on the chunk
+    draws the estimator makes: SeedSequence([seed, tag, i]) for chunk i."""
     d = []
     for i, lo in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3, i])))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag, i])))
         m = min(CHUNK_SIZE, n - lo)
         z = rng.standard_normal(m).astype(np.longdouble)
         r2 = rng.chisquare(p - 1, m).astype(np.longdouble)
         x1 = t + z
         tau = 1 - spec.c / (spec.a + x1 * x1 + r2)
-        d.append(z * z + r2 - ((tau * x1 - t) ** 2 + tau * tau * r2))
+        loss = (tau * x1 - t) ** 2 + tau * tau * r2
+        d.append(z * z + r2 - loss if tag == 3 else loss)
     d = np.concatenate(d)
     mean = d.sum() / n
     return float(mean), float(np.sqrt(((d - mean) ** 2).sum() / (n - 1) / n))
@@ -213,7 +222,19 @@ class TestBlockedDifference:
         assert got == estimate_delta_mc(configs, specs, n, workers=4)
         for cfg, ests in zip(configs, got):
             for spec, est in zip(specs, ests):
-                mean, stderr = _delta_longdouble(5, cfg.theta_norm, spec, n, 29)
+                mean, stderr = _longdouble(5, cfg.theta_norm, spec, n, 29)
+                assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+                assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, _BLOCK + 1, CHUNK_SIZE + 1])
+    def test_risk_matches_longdouble_loss(self, n):
+        specs = [EstimatorSpec(), EstimatorSpec.shrink(3.0), EstimatorSpec.shrink_a(3.0, 10.0)]
+        for t in (0.0, 3.0):
+            cfg = ProblemConfig(5, t, seed=29)
+            for spec in specs:
+                est = estimate_risk_mc(cfg, spec, n)
+                assert est == estimate_risk_mc(cfg, spec, n, workers=4)
+                mean, stderr = _longdouble(5, t, spec, n, 29, tag=2)
                 assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
                 assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
@@ -307,16 +328,27 @@ class TestBitExactRegression:
             for a, b in zip(map(float.fromhex, new), map(float.fromhex, old)):
                 assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "spec, expected",
-        [
-            (EstimatorSpec.shrink(3), ("0x1.087b6e3d413c5p+2", "0x1.e33233c84d050p-9")),
-            (EstimatorSpec.shrink_a(3, 10), ("0x1.08e4702195892p+2", "0x1.ddc4bcabae0bap-9")),
-        ],
-    )
+    RISK_SPECS = [EstimatorSpec.shrink(3), EstimatorSpec.shrink_a(3, 10)]
+    RISK = [
+        ("0x1.087b6e3d413c5p+2", "0x1.e33233c84d050p-9"),
+        ("0x1.08e4702195892p+2", "0x1.ddc4bcabae0bcp-9"),
+    ]
+    # the same two pins from the tau-form loss |tau x - theta|^2, scored per chunk
+    OLD_RISK = [
+        ("0x1.087b6e3d413c5p+2", "0x1.e33233c84d050p-9"),
+        ("0x1.08e4702195892p+2", "0x1.ddc4bcabae0bap-9"),
+    ]
+
+    @pytest.mark.parametrize("spec, expected", list(zip(RISK_SPECS, RISK)))
     def test_risk(self, spec, expected):
         est = estimate_risk_mc(ProblemConfig(5, 3.0, seed=23), spec, self.N2)
         assert self._hex(est) == expected
+
+    def test_risk_pins_moved_only_by_rounding(self):
+        # the g-form risk z^2 + r2 - d moved one stderr by 2 ulp
+        for new, old in zip(self.RISK, self.OLD_RISK):
+            for a, b in zip(map(float.fromhex, new), map(float.fromhex, old)):
+                assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     def test_exceedance(self):
         est = estimate_exceedance_prob(ProblemConfig(5, 2.0, seed=23), self.N2)
