@@ -3,6 +3,7 @@ verification suite.  All numeric CSV output uses 17 significant digits, LF
 line endings, and atomic writes, so identical invocations are byte-identical.
 Each column gets one conversion, checked finite before any byte is written,
 and rows are streamed in fixed blocks into the atomic write's temp file.
+The argument parser is built once per process and keeps no state between calls.
 
 Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 """
@@ -10,6 +11,8 @@ Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -63,28 +66,36 @@ def _target(path: str) -> str:
     return target
 
 
-def _write_atomic(path: str, chunks):
-    """Write text chunks to a temp file, then rename it to _target(path); OSErrors name `path`."""
-    target, tmp = _target(path), None
+def _write_atomic(path: str, chunks, *more):
+    """Write text chunks, and each (path, chunks) pair in `more`, to a temp file beside
+    _target(path); rename them only once all are written.  A failure leaves no temp
+    file, and an OSError names the path it was writing."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines(chunks)
-        os.replace(tmp, target)
+        for path, chunks in [(path, chunks), *more]:
+            target = _target(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+            temps.append((path, tmp, target))
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                # mkstemp creates the file 0600; give it the mode open() would.
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.writelines(chunks)
+        for path, tmp, target in temps:
+            os.replace(tmp, target)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for _, tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError) and exc.filename is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
-def _write_csv(path: str, header, columns):
-    """Stream equal-length columns as CSV, one %-template per block of rows.
+def _write_csv(path: str, header, columns, *more):
+    """Stream equal-length columns as CSV, one %-template per block of rows, and
+    write `more` with it through _write_atomic.
 
     Each column is converted, and checked, before the file is opened, so a
     non-finite value names the leftmost column holding one.  %.17g writes the
@@ -105,7 +116,7 @@ def _write_csv(path: str, header, columns):
                 flat[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
             yield row * m % tuple(flat)
 
-    _write_atomic(path, blocks())
+    _write_atomic(path, blocks(), *more)
 
 
 def _finite(text: str) -> float:
@@ -139,6 +150,7 @@ def _parse_range(text: str):
     return [_finite(v) for v in text.split(",")]
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stein-shrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,16 +209,15 @@ def _build_parser() -> _Parser:
 def _emit(args, header, columns, plot=None) -> int:
     """Write columns to --out as CSV and, given --svg, render_scatter(**plot) to it.
 
-    The plot is rendered, and --svg checked, before either file is written.
+    The plot is rendered, and --svg checked, before either file is written, and
+    neither file is replaced unless both are written.
     """
-    svg = None
+    svg = []
     if plot is not None and args.svg:
         _target(args.svg)
         plot = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in plot.items()}
-        svg = render_scatter(**plot)
-    _write_csv(args.out, header, columns)
-    if svg is not None:
-        _write_atomic(args.svg, [svg])
+        svg.append((args.svg, [render_scatter(**plot)]))
+    _write_csv(args.out, header, columns, *svg)
     return 0
 
 
@@ -223,17 +234,15 @@ def _cmd_risk_curve(args) -> int:
     cs = _parse_range(args.c)
     if args.mc_n is not None and args.mc_n < 2:
         raise _UsageError(f"--mc-n must be >= 2, got {args.mc_n}")
-    c_array = np.array(cs)
-    rows, configs = [], []
-    for t in thetas:
-        # The inverse moment is c-free.
-        exact = risk_delta_exact(args.p, t, c_array).tolist()
-        approx = risk_delta_approx(args.p, t, c_array).tolist()
-        rows += [(args.p, t, c, ex, ap, None, None) for c, ex, ap in zip(cs, exact, approx)]
-        if args.mc_n:
-            configs.append(ProblemConfig(args.p, t, args.seed))
+    # One call for the whole grid, theta down and c across, in the order of the rows.
+    theta_col, c_row = np.array(thetas)[:, None], np.array(cs)
+    exact = risk_delta_exact(args.p, theta_col, c_row).ravel().tolist()
+    approx = risk_delta_approx(args.p, theta_col, c_row).ravel().tolist()
+    rows = [(args.p, t, c, ex, ap, None, None)
+            for (t, c), ex, ap in zip(itertools.product(thetas, cs), exact, approx)]
     if args.mc_n:
         # One set of draws serves every theta and every c, in the order of the rows.
+        configs = [ProblemConfig(args.p, t, args.seed) for t in thetas]
         ests = [est for per_t in estimate_delta_mc(configs, cs, args.mc_n) for est in per_t]
         rows = [row[:5] + (est.mean, est.stderr) for row, est in zip(rows, ests)]
     header = ["p", "theta", "c", "delta_exact", "delta_approx",

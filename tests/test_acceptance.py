@@ -77,6 +77,12 @@ def test_wrong_exact_risk_fails_under_own_name(monkeypatch, criterion, name, det
     assert re.fullmatch(detail, result.detail), result.detail
 
 
+def test_every_criterion_passes_a_plain_bool():
+    # C09's `and` of numpy comparisons gave np.True_ before `_criterion` coerced it
+    for result in acceptance.run_all(seed=1000, fast=True):
+        assert type(result.passed) is bool, result.name
+
+
 def test_c08_far_check_is_centred_on_its_first_order_value():
     # at seed 913 the estimate sits 4.0 se above the limit 1/2 but 3.2 se
     # above 1/2 + (p-1)/(2 sqrt(2 pi) theta), the value at theta = 1e4

@@ -250,8 +250,9 @@ class TestExitCodes:
         assert cli.run(argv) == 1
         assert capsys.readouterr().err == (
             f"error: [Errno {code}] {os.strerror(code)}: {bad!r}\n")
-        # no temp file is left beside the path
+        # no temp file is left beside the path, nor a CSV beside a failed SVG
         assert not list(tmp_path.rglob("*.tmp"))
+        assert not os.path.exists(csv)
 
     def test_overflowing_range_step_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -312,6 +313,20 @@ class TestCsvWriter:
             cli._write_atomic(str(out), blocks())
         assert out.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_failure_in_a_later_file_replaces_neither(self, tmp_path):
+        first, second = tmp_path / "x.csv", tmp_path / "x.svg"
+        first.write_bytes(b"old csv\n")
+        second.write_bytes(b"old svg\n")
+
+        def blocks():
+            yield "new svg\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(str(first), ["new csv\n"], (str(second), blocks()))
+        assert (first.read_bytes(), second.read_bytes()) == (b"old csv\n", b"old svg\n")
+        assert sorted(tmp_path.iterdir()) == [first, second]
 
     def test_integer_column_is_written_exactly(self, tmp_path):
         out = tmp_path / "special.csv"
@@ -564,6 +579,53 @@ class TestParsing:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParserCache:
+    """`run` builds its parser once per process; no call sees what another parsed."""
+
+    _CURVE = ["risk-curve", "--p", "5", "--theta", "0:2:3", "--c", "1,3", "--seed", "7",
+              "--out", "r.csv"]
+
+    @staticmethod
+    def _runs(where, monkeypatch, capsys, *argvs):
+        """From a fresh parser, each argv in turn in `where`: exit code, stderr, files left."""
+        cli._build_parser.cache_clear()
+        where.mkdir()
+        monkeypatch.chdir(where)
+        seen = []
+        for argv in argvs:
+            code = cli.run(argv)
+            files = {f.name: f.read_bytes() for f in sorted(where.iterdir())}
+            for name in files:
+                (where / name).unlink()
+            seen.append((code, capsys.readouterr().err, files))
+        return seen
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_mc_and_svg_do_not_carry_over(self, tmp_path, monkeypatch, capsys):
+        mc = self._CURVE + ["--mc-n", "2000", "--svg", "s.svg"]
+        both = self._runs(tmp_path / "both", monkeypatch, capsys, mc, self._CURVE)
+        assert both == (self._runs(tmp_path / "mc", monkeypatch, capsys, mc)
+                        + self._runs(tmp_path / "plain", monkeypatch, capsys, self._CURVE))
+        assert sorted(both[0][2]) == ["r.csv", "s.svg"]
+        assert list(both[1][2]) == ["r.csv"]
+        rows = both[1][2]["r.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[5:] for row in rows] == [["", ""]] * 6
+
+    @pytest.mark.parametrize("bad", [
+        ["cloud", "--p", "5"],
+        ["risk-curve", "--p", "x", "--theta", "1", "--c", "1", "--out", "x.csv"],
+    ], ids=["missing-flag", "bad-int"])
+    def test_usage_error_leaves_nothing_behind(self, tmp_path, monkeypatch, capsys, bad):
+        turns = self._runs(tmp_path / "turns", monkeypatch, capsys, bad, self._CURVE, bad)
+        first = (self._runs(tmp_path / "bad", monkeypatch, capsys, bad)
+                 + self._runs(tmp_path / "good", monkeypatch, capsys, self._CURVE))
+        assert turns == first + first[:1]
+        assert [code for code, _, _ in turns] == [2, 0, 2]
+        assert turns[0][1].startswith("error: ") and "usage: stein-shrink" in turns[0][1]
 
 
 class TestSizeCap:

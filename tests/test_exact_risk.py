@@ -68,6 +68,33 @@ class TestPastThetaSquaredOverflow:
         assert risk_delta_approx(5, 1e300, 1.0) == 0.0
 
 
+class TestThetaGrid:
+    # every branch: theta = 0, the Kummer rule, its spike form, theta^2 overflow
+    # (from ~1.34e154), the subnormal and zero Delta beyond; c from zero to an
+    # overflowing quadratic
+    _THETAS = [0.0, 1e-3, 50.0, 1e4, 1e9, 1.34e154, 1e160, 1e300, 1.7e308]
+
+    @pytest.mark.parametrize("route", [risk_delta_exact, risk_delta_approx])
+    @pytest.mark.parametrize("p", [3, 5, 100])
+    def test_grid_is_bit_equal_to_scalar_calls(self, route, p):
+        cs = [0.0, 1.0, 2.0 * (p - 2), 1e308]
+        grid = route(p, np.array(self._THETAS)[:, None], np.array(cs))
+        assert grid.shape == (len(self._THETAS), len(cs))
+        each = np.array([[route(p, t, c) for c in cs] for t in self._THETAS])
+        assert grid.tobytes() == each.tobytes()
+
+    @pytest.mark.parametrize("route", [risk_delta_exact, risk_delta_approx])
+    def test_scalar_theta_and_c_give_a_scalar(self, route):
+        value = route(5, 1.0, 3.0)
+        assert np.ndim(value) == 0 and isinstance(value, float)
+        assert route(5, 1.0, np.array([3.0])).shape == (1,)
+
+    @pytest.mark.parametrize("route", [risk_delta_exact, risk_delta_approx])
+    def test_negative_theta_names_the_first_one(self, route):
+        with pytest.raises(ValueError, match=r"^theta_norm must be >= 0, got -1\.0$"):
+            route(5, np.array([[1.0], [-1.0], [-2.0]]), np.array([1.0, 3.0]))
+
+
 class TestRiskDeltaApprox:
     def test_poor_at_small_theta(self):
         # approx 1/3 vs exact 1 at (p=3, theta=0, c=1)
