@@ -49,6 +49,7 @@ DEFAULT_SEED = 17
 
 _GRID_P = (3, 5, 10, 20)
 _GRID_THETA = (0.0, 1.0, 5.0, 25.0)
+_THETA_COL = np.array(_GRID_THETA)[:, None]  # one exact call per p: theta down, c across
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ def c03_exact_vs_mc(seed, fast):
         # one set of draws per p serves its four theta and four constants
         cs = [1.0, float(p - 2), float(p - 1), 2.0 * (p - 2) - 0.5]
         configs = [ProblemConfig(p, t, seed) for t in _GRID_THETA]
-        for t, ests in zip(_GRID_THETA, estimate_delta_mc(configs, cs, n, workers=4)):
-            exacts = risk_delta_exact(p, t, np.array(cs)).tolist()
-            for c, exact, est in zip(cs, exacts, ests):
+        exacts = risk_delta_exact(p, _THETA_COL, np.array(cs)).tolist()
+        for t, ests, row in zip(_GRID_THETA, estimate_delta_mc(configs, cs, n, workers=4), exacts):
+            for c, exact, est in zip(cs, row, ests):
                 z = abs(est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
                 if z > worst:
                     worst, bad = z, (p, t, c)
@@ -144,8 +145,8 @@ def c04_dominance_window(seed, fast):
     for p in _GRID_P:
         hi = 2.0 * (p - 2)
         inside = [0.05, hi / 4, p - 2.0, hi - 0.05]
-        for t in _GRID_THETA:
-            deltas = risk_delta_exact(p, t, np.array(inside + [0.0, hi, hi + 0.5]))
+        grid = risk_delta_exact(p, _THETA_COL, np.array(inside + [0.0, hi, hi + 0.5]))
+        for t, deltas in zip(_GRID_THETA, grid):
             for c, d in zip(inside, deltas):
                 if not d > 0:
                     return False, f"delta <= 0 inside window at (p={p}, theta={t}, c={c})"
@@ -162,8 +163,8 @@ def c05_optimal_constant(seed, fast):
     worst = 0.0
     for p in _GRID_P:
         cs = np.arange(0.0, 2.0 * (p - 2) + 1e-9, 0.01)
-        for t in _GRID_THETA:
-            c_star = cs[int(np.argmax(risk_delta_exact(p, t, cs)))]
+        for t, deltas in zip(_GRID_THETA, risk_delta_exact(p, _THETA_COL, cs)):
+            c_star = cs[int(np.argmax(deltas))]
             worst = max(worst, abs(c_star - (p - 2)))
             if abs(c_star - (p - 2)) > 0.01:
                 return False, f"argmax {c_star} != {p - 2} at (p={p}, theta={t})"
@@ -195,12 +196,8 @@ def c06_conditional_algebra(seed, fast):
 
 @_criterion("C07 inverse-moment approximation quality")
 def c07_approximation_quality(seed, fast):
-    jensen_ok = True
-    for p in _GRID_P:
-        for t in _GRID_THETA:
-            lam = t * t
-            if not inv_noncentral_chisq_mean(p, lam) > 1.0 / (lam + p):
-                jensen_ok = False
+    lam = np.array(_GRID_THETA) ** 2
+    jensen_ok = all((inv_noncentral_chisq_mean(p, lam) > 1.0 / (lam + p)).all() for p in _GRID_P)
     def rel_gap(p, lam):
         exact = inv_noncentral_chisq_mean(p, lam)
         return (exact - 1.0 / (lam + p)) / exact

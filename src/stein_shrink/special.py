@@ -47,7 +47,7 @@ def _legendre_nodes():
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def inv_noncentral_chisq_mean(p: int, lam: float) -> float:
+def inv_noncentral_chisq_mean(p: int, lam):
     """E[1 / chi^2_p(lambda)], the mean of the reciprocal noncentral chi-square.
 
     Kummer's integral (DLMF 13.4.1) for 1F1(1; p/2; -lambda/2) / (p - 2), with
@@ -57,17 +57,22 @@ def inv_noncentral_chisq_mean(p: int, lam: float) -> float:
     of (1 - t/s)^((p-4)/2) exp(-lambda t / 2s); the cut drops less than e^-38
     and stays clear of the p = 3 singularity at t = s.  Both use one 64-node
     Gauss-Legendre rule.  Diverges for p <= 2.
+
+    `lam` is a float (a float back) or an array (one of its shape back).  Only the
+    branch taken runs; lambda = 0 is 1/(p - 2) exactly; `np.vecdot` sums a row as a
+    1-D dot does, so each entry has the bits of a scalar call.
     """
     if p <= 2:
         raise ValueError(f"inverse moment diverges for p <= 2, got p={p}")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"noncentrality must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return 1.0 / (p - 2)
+    lam = np.asarray(lam, dtype=float)
+    bad = lam[~((lam >= 0.0) & (lam < math.inf))]
+    if bad.size:
+        raise ValueError(f"noncentrality must be finite and >= 0, got {bad[0]}")
     x, w = _legendre_nodes()
-    s = (p + lam) / 2
-    if s <= 50.0:
-        return float(w @ (x ** (p - 3) * np.exp(-lam / 2 * (1.0 - x * x))))
-    t = 40.0 * x
-    f = np.exp((p - 4) / 2 * np.log1p(-t / s) - lam / (2 * s) * t)
-    return float(40.0 * (w @ f) / (2 * s))
+    s, m1 = (p + lam) / 2, np.full(lam.shape, 1.0 / (p - 2))
+    kummer, spike = (lam > 0.0) & (s <= 50.0), (lam > 0.0) & (s > 50.0)
+    m1[kummer] = np.vecdot(x ** (p - 3) * np.exp(-lam[kummer, None] / 2 * (1.0 - x * x)), w)
+    t, ls, ss = 40.0 * x, lam[spike, None], s[spike, None]
+    f = np.exp((p - 4) / 2 * np.log1p(-t / ss) - ls / (2 * ss) * t)
+    m1[spike] = 40.0 * np.vecdot(f, w) / (2 * s[spike])
+    return m1 if lam.ndim else float(m1)

@@ -91,8 +91,10 @@ class TestThetaGrid:
 
     @pytest.mark.parametrize("route", [risk_delta_exact, risk_delta_approx])
     def test_negative_theta_names_the_first_one(self, route):
-        with pytest.raises(ValueError, match=r"^theta_norm must be >= 0, got -1\.0$"):
-            route(5, np.array([[1.0], [-1.0], [-2.0]]), np.array([1.0, 3.0]))
+        # NaN is refused as well: it is not >= 0
+        for bad, named in ((-1.0, r"-1\.0"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^theta_norm must be >= 0, got {named}$"):
+                route(5, np.array([[1.0], [bad], [-2.0]]), np.array([1.0, 3.0]))
 
 
 class TestRiskDeltaApprox:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from stein_shrink import (
     expected_chi_norm,
@@ -14,6 +16,24 @@ from stein_shrink import (
 # noncentral chi-square draws (numpy default_rng(202608)).
 _INVMOM_20_625_MC = 0.0015599326042125014
 _INVMOM_20_625_MC_SE = 3.89e-08
+
+_NODES, _WEIGHTS = leggauss(64)
+_NODES, _WEIGHTS = (_NODES + 1.0) / 2.0, _WEIGHTS / 2.0  # on [0, 1]
+
+
+def _reference_inv_moment(p, lam):
+    """E[1/chi^2_p(lam)] for one float lam, as the scalar routine computed it
+    before it took arrays: the closed form at 0, then either branch, summed by
+    a 1-D `w @ f`.  The array routine must reproduce it to the bit."""
+    x, w = _NODES, _WEIGHTS
+    if lam == 0.0:
+        return 1.0 / (p - 2)
+    s = (p + lam) / 2
+    if s <= 50.0:
+        return float(w @ (x ** (p - 3) * np.exp(-lam / 2 * (1.0 - x * x))))
+    t = 40.0 * x
+    f = np.exp((p - 4) / 2 * np.log1p(-t / s) - lam / (2 * s) * t)
+    return float(40.0 * (w @ f) / (2 * s))
 
 
 class TestExpectedChiNorm:
@@ -94,10 +114,16 @@ class TestInverseMoment:
                                     1000, 10**4, 10**6) for lam in decades]
         cases += [(p, 100 - p + k / 2) for p in (3, 4, 5, 7, 20, 50)
                   for k in range(-20, 21)]
+        refs = {(p, lam): oracle(p, lam) for p, lam in cases}
         for p, lam in cases:
-            ref = oracle(p, lam)
-            err = abs((inv_noncentral_chisq_mean(p, lam) - ref) / ref)
+            err = abs((inv_noncentral_chisq_mean(p, lam) - refs[p, lam]) / refs[p, lam])
             assert err <= 1e-12, (p, lam, float(err))
+        # and one array call per p over all of its cases
+        for p in sorted({p for p, _ in cases}):
+            lams = [lam for q, lam in cases if q == p]
+            for lam, got in zip(lams, inv_noncentral_chisq_mean(p, np.array(lams))):
+                err = abs((got - refs[p, lam]) / refs[p, lam])
+                assert err <= 1e-12, (p, lam, float(err))
 
     def test_zero_is_closed_form_and_non_finite_raises(self):
         for p in (3, 4, 5, 20, 10**6):
@@ -105,6 +131,39 @@ class TestInverseMoment:
         for lam in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match="noncentrality"):
                 inv_noncentral_chisq_mean(5, lam)
+        # an array names its first bad entry
+        for lam, named in (([1.0, math.inf, -1.0], "inf"), ([1.0, math.nan], "nan"),
+                           ([[2.0, -1.0], [math.inf, 0.0]], r"-1\.0")):
+            with pytest.raises(ValueError,
+                               match=rf"^noncentrality must be finite and >= 0, got {named}$"):
+                inv_noncentral_chisq_mean(5, np.array(lam))
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 20, 100, 1000, 10**6])
+    def test_array_is_bit_equal_to_the_scalar_reference(self, p):
+        # lam = 0, both sides of the switch between the two branches at
+        # lam = 100 - p, every decade up to 1e18, and 300 log-uniform values
+        rng = np.random.default_rng(2101)
+        lams = [0.0] + [lam for k in range(-20, 21) if (lam := 100 - p + k / 2) >= 0]
+        lams += [10.0**k for k in range(-8, 19)] + (10 ** rng.uniform(-8, 18, 300)).tolist()
+        got = inv_noncentral_chisq_mean(p, np.array(lams))
+        want = np.array([_reference_inv_moment(p, lam) for lam in lams])
+        assert got.shape == (len(lams),) and got.tobytes() == want.tobytes()
+        for lam in (0.0, 1.0, 1e6):
+            assert type(inv_noncentral_chisq_mean(p, lam)) is float
+        assert inv_noncentral_chisq_mean(p, np.array([[0.0, 2.0]])).shape == (1, 2)
+
+    def test_no_warning_where_s_lands_on_a_spike_node(self):
+        # lam = 80 x_k - p puts s = (p + lam)/2 exactly on the node t = 40 x_k of
+        # the spike form, where log1p(-t/s) is log(0); that form must not run there
+        p = 5
+        lams = [80.0 * _NODES[k] - p for k in (40, 60, 63)]
+        assert [(p + lam) / 2 for lam in lams] == [40.0 * _NODES[k] for k in (40, 60, 63)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inv_noncentral_chisq_mean(p, np.array(lams))
+            each = [inv_noncentral_chisq_mean(p, lam) for lam in lams]
+        want = np.array([_reference_inv_moment(p, lam) for lam in lams])
+        assert got.tobytes() == want.tobytes() == np.array(each).tobytes()
 
     def test_jensen_strict_lower_bound(self):
         for p in (3, 5, 10, 20):
