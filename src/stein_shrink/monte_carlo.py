@@ -12,15 +12,18 @@ losses are subtracted.  The risk is z^2 + r2 - d, so the identity's is free of
 theta to the bit.  Both are NaN where |x|^2 overflows (theta above ~1.34e154).
 
 Replications are split into fixed-size chunks; each chunk owns an RNG stream
-derived from (seed, operation tag, chunk index).  Every sum runs one loop: a
-chunk's draws are scored in blocks of _BLOCK, which fit L2, by score(z, r2, x1,
-norm_sq, u, d), given a block's draws and four scratch buffers of its length,
-allocated per chunk call so that workers never share one.  The reduction
-squares each array score yields in place, so score may reuse it only once it
-resumes.  Block sums are added left to right within a chunk, and chunk sums in
-chunk order, so output is bit-identical for a given (config, n) whatever the
-workers or the Python.  n is capped at MAX_N.  Arithmetic runs under
-np.errstate (per thread): an overflow gives an inf or NaN estimate, no warning.
+derived from (seed, operation tag, chunk index), read as the chunk's m normals,
+then its m chi-square values.  Every sum runs one loop: a chunk draws its
+normals whole and scores them in blocks of _BLOCK by score(z, r2, x1, norm_sq,
+u, d).  Each block first draws its chi-square values into r2; r2 and the four
+scratch buffers are five block-length arrays per chunk call, so workers never
+share one and a chunk holds only its normals in full.  A cloud draws each chunk
+into its slice of the two n-length outputs.  The reduction squares each array
+score yields in place, so score may reuse it only once it resumes.  Block sums
+are added left to right within a chunk, and chunk sums in chunk order, so
+output is bit-identical for a given (config, n) whatever the workers or the
+Python.  n is capped at MAX_N.  Arithmetic runs under np.errstate (per thread):
+an overflow gives an inf or NaN estimate, no warning.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-MAX_N = 1 << 32  # replications per call, checked before any chunk is made
+MAX_N = 1 << 32  # replications per call, checked before any chunk or output is made
 _BLOCK = 1 << 14  # draws the paired difference scores at a time: its buffers stay in L2
 
 # Operation tags keep the streams of distinct operations disjoint.
@@ -71,24 +74,27 @@ class CloudSample:
     r: np.ndarray
 
 
-def _map_chunks(config, tag, n, chunk_fn, workers=1, min_n=2):
-    """Run chunk_fn(rng, count) over fixed-size chunks; results in chunk order.
+def _check_n(n, min_n=2):
+    if not min_n <= n <= MAX_N:
+        raise ValueError(f"need {min_n} <= n <= {MAX_N}, got {n}")
+
+
+def _map_chunks(config, tag, n, chunk_fn, workers=1):
+    """Run chunk_fn(rng, start, count) over fixed-size chunks; results in chunk order.
 
     Chunk i draws from SeedSequence([seed, tag, i]), so the result does not
     depend on `workers`.
     """
-    if not min_n <= n <= MAX_N:
-        raise ValueError(f"need {min_n} <= n <= {MAX_N}, got {n}")
-    counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
 
-    def run(i):
-        seq = np.random.SeedSequence([config.seed, tag, i])
-        return chunk_fn(np.random.Generator(np.random.PCG64(seq)), counts[i])
+    def run(lo):
+        seq = np.random.SeedSequence([config.seed, tag, lo // CHUNK_SIZE])
+        return chunk_fn(np.random.Generator(np.random.PCG64(seq)), lo, min(CHUNK_SIZE, n - lo))
 
+    starts = range(0, n, CHUNK_SIZE)
     if workers <= 1:
-        return [run(i) for i in range(len(counts))]
+        return [run(lo) for lo in starts]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, range(len(counts))))
+        return list(ex.map(run, starts))
 
 
 def _fold(parts):
@@ -107,15 +113,16 @@ def _sums(config, tag, n, score, workers=1):
         np.multiply(v, v, out=v)
         return total, float(v.sum())
 
-    def chunk(rng, m):
-        z, r2 = _draw(rng, config.p, m)
-        bufs = [np.empty(min(m, _BLOCK)) for _ in range(4)]
-        blocks = (score(z[lo:lo + _BLOCK], r2[lo:lo + _BLOCK], *(b[:m - lo] for b in bufs))
-                  for lo in range(0, m, _BLOCK))
+    def chunk(rng, _, m):
+        z = rng.standard_normal(m)
+        r2, *bufs = [np.zeros(min(m, _BLOCK)) for _ in range(5)]
+        blocks = (score(z[lo:lo + _BLOCK], _chisq(rng, config.p, r2[:m - lo]),
+                        *(b[:m - lo] for b in bufs)) for lo in range(0, m, _BLOCK))
         # sum_sq squares each array in place; score may reuse it once it resumes
         with np.errstate(over="ignore", invalid="ignore"):
             return _fold(map(sum_sq, block) for block in blocks)
 
+    _check_n(n)
     return _fold(_map_chunks(config, tag, n, chunk, workers))
 
 
@@ -131,10 +138,13 @@ def _check_finite_risk(p, specs):
         raise ValueError(f"risk of c/|x|^2 shrinkage (a = 0) is infinite at p={p} <= 2")
 
 
-def _draw(rng, p, m):
-    """m reduced draws about the origin: z ~ N(0, 1) along theta, r2 ~ chi^2_{p-1}."""
-    z = rng.standard_normal(m)
-    return z, (rng.chisquare(p - 1, m) if p >= 2 else np.zeros(m))
+def _chisq(rng, p, out):
+    """chi^2_{p-1} draws into `out`, read from the stream as rng.chisquare(p - 1)
+    reads it: chisquare(df) is 2 standard_gamma(df/2).  At p = 1 `out` is kept."""
+    if p >= 2:
+        rng.standard_gamma((p - 1) / 2, out=out)
+        out *= 2.0
+    return out
 
 
 def _paired(thetas, specs, z, r2, x1, norm_sq, u, d):
@@ -156,16 +166,16 @@ def _paired(thetas, specs, z, r2, x1, norm_sq, u, d):
 
 def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
     """n independent reduced observations; bit-identical for a given seed."""
+    _check_n(n, min_n=1)
+    x1, r = np.empty(n), np.zeros(n)
 
-    def chunk(rng, m):
-        z, r2 = _draw(rng, config.p, m)
-        return np.add(config.theta_norm, z, out=z), np.sqrt(r2, out=r2)
+    def chunk(rng, lo, m):
+        rng.standard_normal(out=x1[lo:lo + m])
+        x1[lo:lo + m] += config.theta_norm
+        np.sqrt(_chisq(rng, config.p, r[lo:lo + m]), out=r[lo:lo + m])
 
-    parts = _map_chunks(config, _TAG_CLOUD, n, chunk, min_n=1)
-    return CloudSample(
-        x1=np.concatenate([x1 for x1, _ in parts]),
-        r=np.concatenate([r for _, r in parts]),
-    )
+    _map_chunks(config, _TAG_CLOUD, n, chunk)
+    return CloudSample(x1=x1, r=r)
 
 
 def estimate_risk_mc(

@@ -89,3 +89,40 @@ def test_c08_far_check_is_centred_on_its_first_order_value():
     result = acceptance.c08_exceedance(913, False)
     assert result.passed, result.detail
     assert "0.50200 +- 0.00050 (target 0.5003790)" in result.detail
+
+
+# `verify --seed 17` (the default seed, full mode), line for line.  Any move of
+# a Monte Carlo stream, reduction or exact routine shows here first.
+_VERIFY_SEED_17 = [
+    "PASS  C01 chi-norm mean table (formula authoritative at p=5): E(R): p=10 2.9180, "
+    "p=17 3.9380, p=26 4.9503, p=5 1.8800 (printed 1.850 rejected)",
+    "PASS  C02 factor-2 discriminator (p=3, theta=0, c=1): paired delta = 1.00078 +- 0.00408 "
+    "(n=10000000); within 4.0 se of 1.0: True, outside 4.0 se of 0.5: True",
+    "PASS  C03 exact vs paired-MC risk difference over grid: 64 cells, worst |z| = 1.42 at "
+    "(3, 5.0, 1.0) (gate 4.5)",
+    "PASS  C04 dominance window (0, 2(p-2)): positive inside, 0 at edges (1e-12), negative at "
+    "2(p-2)+0.5, all 16 (p, theta)",
+    "PASS  C05 optimal constant c = p-2: argmax within 0.0000 <= 0.01 of p-2 over all (p, theta)",
+    "PASS  C06 conditional two-point algebra (direct vs closed form): worst relative gap 1.14e-15 "
+    "over 10^4 draws; (p=3, theta=2, c=1) -> 0.575757575757576 vs 19/33 pinned: True",
+    "PASS  C07 inverse-moment approximation quality: Jensen strict: True; gap(5, 1e4) = 4.00e-04 "
+    "< 1%: True; gap(3, 0) = 0.666667 = 2/3 (closed form 2/p): True",
+    "PASS  C08 exceedance probability obstruction (inf = 1/2): P(|X|>=|theta|) at theta=1e4: "
+    "0.49988 +- 0.00050 (target 0.5003790); at theta=1: 1.00000 > 0.99: True",
+    "PASS  C09 cloud regime (p=20, theta=25, n=2000): mean x1 24.974 (25), mean r^2 18.782 (19), "
+    "mean |Z|^2 643.45 (645)",
+    "PASS  C10 projection geometry and NGO agreement: worst identity/perpendicularity/agreement "
+    "residual 3.33e-16 <= 1e-12",
+    "PASS  C11 regularized-shrinkage asymptotic trend: target 9.0, tol 10%; theta=20: "
+    "(a+theta^2)*delta = 9.585 (n=1473823); theta=40: (a+theta^2)*delta = 9.240 (n=5928357); "
+    "theta=80: (a+theta^2)*delta = 9.133 (n=23740001)",
+    "PASS  C12 byte-identical CSV determinism: 6 subcommands byte-identical across runs; "
+    "MC bit-equal for 1 vs 4 workers",
+]
+
+
+def test_default_seed_prints_the_pinned_lines():
+    # the same results test_criterion computed, from the cache
+    got = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
+           for r in map(_get, acceptance._CRITERIA)]
+    assert got == _VERIFY_SEED_17

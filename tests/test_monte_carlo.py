@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,9 +356,69 @@ class TestBitExactRegression:
         est = estimate_exceedance_prob(ProblemConfig(5, 2.0, seed=23), self.N2)
         assert self._hex(est) == ("0x1.b3409e1c039f2p-1", "0x1.0248887bec9b2p-11")
 
+    @pytest.mark.parametrize("p, expected", [
+        (2, ("0x1.35157c393ec81p-1", "0x1.61e856c3307aep-11")),  # chi^2_1: gamma shape 1/2
+        (1, ("0x1.00563f473e189p-1", "0x1.69c537e3c7973p-11")),  # no chi-square draw
+    ])
+    def test_exceedance_at_small_p(self, p, expected):
+        est = estimate_exceedance_prob(ProblemConfig(p, 2.0, seed=23), self.N2)
+        assert self._hex(est) == expected
+
+    CLOUD_SHA256 = {
+        1: "d0df8eee61708d28949b6918b6413d4a9a85ad9981f07f55c4ce9c0dde838fc1",
+        2: "7f9fb25ed5b84769b7fa08a3e7c8e64d50d3303c1b44f49bf7c8d0fe763715f3",
+        5: "0117b193393e3a8f5f729cbd561f1cd2462bccb3fc7b3b92c73ebfc3fc5406b7",
+        20: "92ab749e7512d3032e39614642dca08b8b6c18ecc31bc901d108bea15a3eed9b",
+    }
+
+    @pytest.mark.parametrize("p", sorted(CLOUD_SHA256))
+    def test_cloud_three_chunks(self, p):
+        cloud = simulate_cloud(ProblemConfig(p, 3.0, seed=23), self.N3)
+        digest = hashlib.sha256(cloud.x1.tobytes() + cloud.r.tobytes()).hexdigest()
+        assert digest == self.CLOUD_SHA256[p]
+
     def test_chunk_partials_are_summed_left_to_right(self, monkeypatch):
         # a compensated sum (sum() of floats from Python 3.12 on) gives (1.0, 1.0) first
         parts = [[(1.0, 1.0), (2.0, 0.5)], [(1e100, 1e100), (1.0, 0.5)],
                  [(-1e100, -1e100), (0.5, 4.0)]]
         monkeypatch.setattr(monte_carlo, "_map_chunks", lambda *args, **kwargs: parts)
         assert monte_carlo._sums(None, 0, 3, None) == [(0.0, 0.0), (3.5, 5.0)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 20, 10**6])
+def test_blocked_chi_square_reads_the_stream_as_chisquare_does(p):
+    # chisquare(df) is 2 standard_gamma(df/2), one variate after another, so
+    # drawing a chunk block by block gives the same bits and leaves the same state
+    m = 2 * _BLOCK + 7
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = [monte_carlo._chisq(rng, p, np.empty(min(_BLOCK, m - lo))) for lo in range(0, m, _BLOCK)]
+    assert np.concatenate(got).tobytes() == ref.chisquare(p - 1, m).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestMemoryCeiling:
+    # tracemalloc sees numpy's buffers.  A chunk holds its CHUNK_SIZE normals
+    # and five block-sized buffers, never its chi-square draws whole.
+    @staticmethod
+    def _peak(fn, *args, n):
+        fn(*args, 2)  # the first draw imports modules: not a chunk's memory
+        tracemalloc.start()
+        try:
+            fn(*args, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("estimate, args", [
+        (estimate_delta_mc, [[1.0, 3.0]]),
+        (estimate_risk_mc, [EstimatorSpec.shrink(3.0)]),
+        (estimate_exceedance_prob, []),
+    ], ids=["delta", "risk", "exceedance"])
+    def test_one_chunk_holds_little_beyond_its_normals(self, estimate, args):
+        peak = self._peak(estimate, ProblemConfig(5, 2.0, seed=3), *args, n=CHUNK_SIZE)
+        assert peak < 1.25 * CHUNK_SIZE * 8
+
+    def test_cloud_holds_little_beyond_its_two_outputs(self):
+        n = TestBitExactRegression.N3
+        peak = self._peak(simulate_cloud, ProblemConfig(20, 3.0, seed=3), n=n)
+        assert peak < 1.1 * 16 * n
