@@ -3,15 +3,11 @@ reduction, projection geometry, the two-point conditional heuristic, and
 seeded Monte Carlo verification of all of it.
 """
 
-from .conditional import (
-    ConditionalBreakdown,
-    conditional_delta_closed,
-    conditional_losses,
-)
+from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor
 from .exact_risk import risk_delta_approx, risk_delta_exact
-from .geometry import GeometryReport, ngo_projection
+from .geometry import ngo_projection
 from .monte_carlo import (
     CloudSample,
     RiskEstimate,

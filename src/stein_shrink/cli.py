@@ -215,7 +215,6 @@ def _emit(args, header, columns, plot=None) -> int:
     svg = []
     if plot is not None and args.svg:
         _target(args.svg)
-        plot = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in plot.items()}
         svg.append((args.svg, [render_scatter(**plot)]))
     _write_csv(args.out, header, columns, *svg)
     return 0

@@ -6,12 +6,14 @@ two (equally likely) points, the loss of the c-shrinkage estimator decomposes
 coordinate-wise, and the improvement over the identity has an exact closed
 form whose sign for all theta_norm >= 0 is governed by 0 < c < 2(p-2).
 
-p may be any real >= 2 here; the algebra is polynomial in p.
+p may be any real >= 2 here; the algebra is polynomial in p, and broadcasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["ConditionalBreakdown", "conditional_losses", "conditional_delta_closed"]
 
@@ -27,9 +29,9 @@ class ConditionalBreakdown:
 
 def _norms_sq(p, theta_norm: float):
     """(|xi_plus|^2, |xi_minus|^2) = ((theta_norm +- 1)^2 + p - 1)."""
-    if p < 2:
+    if np.any(p < 2) if isinstance(p, np.ndarray) else p < 2:
         raise ValueError(f"two-point model requires p >= 2, got p={p}")
-    if theta_norm < 0:
+    if np.any(theta_norm < 0) if isinstance(theta_norm, np.ndarray) else theta_norm < 0:
         raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     up, um = theta_norm + 1.0, theta_norm - 1.0
     return up * up + (p - 1), um * um + (p - 1)

@@ -15,15 +15,17 @@ Replications are split into fixed-size chunks; each chunk owns an RNG stream
 derived from (seed, operation tag, chunk index), read as the chunk's m normals,
 then its m chi-square values.  Every sum runs one loop: a chunk draws its
 normals whole and scores them in blocks of _BLOCK by score(z, r2, x1, norm_sq,
-u, d).  Each block first draws its chi-square values into r2; r2 and the four
-scratch buffers are five block-length arrays per chunk call, so workers never
-share one and a chunk holds only its normals in full.  A cloud draws each chunk
-into its slice of the two n-length outputs.  The reduction squares each array
-score yields in place, so score may reuse it only once it resumes.  Block sums
-are added left to right within a chunk, and chunk sums in chunk order, so
-output is bit-identical for a given (config, n) whatever the workers or the
-Python.  n is capped at MAX_N.  Arithmetic runs under np.errstate (per thread):
-an overflow gives an inf or NaN estimate, no warning.
+u, d, groups) for the configs that draw it.  Each block first draws its
+chi-square values into r2; r2 and the four scratch buffers are five block-length
+arrays per chunk call, so workers never share one and a chunk holds only its
+normals in full.  A cloud draws each chunk into its slice of the two n-length
+outputs.  The reduction squares each array score yields in place, so score may
+reuse it only once it resumes.  Block sums are added left to right within a
+chunk, and chunk sums in chunk order, so output is bit-identical for a given
+(config, n) whatever the workers or the Python.  A chunk is drawn once for all
+the counts that cover it whole; a last, partial one at its own length, as its
+chi-square values follow its m normals.  n is capped at MAX_N.  Arithmetic runs
+under np.errstate (per thread): an overflow gives an inf or NaN, no warning.
 """
 
 from __future__ import annotations
@@ -79,22 +81,19 @@ def _check_n(n, min_n=2):
         raise ValueError(f"need {min_n} <= n <= {MAX_N}, got {n}")
 
 
-def _map_chunks(config, tag, n, chunk_fn, workers=1):
-    """Run chunk_fn(rng, start, count) over fixed-size chunks; results in chunk order.
+def _map_chunks(config, tag, counts, chunk_fn, workers=1):
+    """chunk_fn(rng, start, m) for each distinct chunk (start, m) of the counts, in
+    order; chunk i draws from SeedSequence([seed, tag, i]), whatever the `workers`."""
+    jobs = sorted({(lo, min(CHUNK_SIZE, n - lo)) for n in counts for lo in range(0, n, CHUNK_SIZE)})
 
-    Chunk i draws from SeedSequence([seed, tag, i]), so the result does not
-    depend on `workers`.
-    """
+    def run(job):
+        seq = np.random.SeedSequence([config.seed, tag, job[0] // CHUNK_SIZE])
+        return chunk_fn(np.random.Generator(np.random.PCG64(seq)), *job)
 
-    def run(lo):
-        seq = np.random.SeedSequence([config.seed, tag, lo // CHUNK_SIZE])
-        return chunk_fn(np.random.Generator(np.random.PCG64(seq)), lo, min(CHUNK_SIZE, n - lo))
-
-    starts = range(0, n, CHUNK_SIZE)
     if workers <= 1:
-        return [run(lo) for lo in starts]
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, starts))
+        return list(ex.map(run, jobs))
 
 
 def _fold(parts):
@@ -105,25 +104,34 @@ def _fold(parts):
     return sums
 
 
-def _sums(config, tag, n, score, workers=1):
-    """(sum, sum of squares) over n draws of each array score(z, r2, x1, norm_sq, u, d) yields."""
+def _sums(config, tag, n, score, workers=1, counts=None):
+    """(sum, sum of squares) of each array score(z, r2, x1, norm_sq, u, d, groups)
+    yields, k per listed group g, over counts[g] draws (by default one group of n)."""
+    counts = [n] if counts is None else counts
+    for count in counts:
+        _check_n(count)
 
     def sum_sq(v):
         total = float(v.sum())
         np.multiply(v, v, out=v)
         return total, float(v.sum())
 
-    def chunk(rng, _, m):
+    def chunk(rng, start, m):
+        drawn = [g for g, count in enumerate(counts) if min(CHUNK_SIZE, count - start) == m]
         z = rng.standard_normal(m)
         r2, *bufs = [np.zeros(min(m, _BLOCK)) for _ in range(5)]
-        blocks = (score(z[lo:lo + _BLOCK], _chisq(rng, config.p, r2[:m - lo]),
-                        *(b[:m - lo] for b in bufs)) for lo in range(0, m, _BLOCK))
+        arrays = ((z[lo:lo + _BLOCK], _chisq(rng, config.p, r2[:m - lo]),
+                   *(b[:m - lo] for b in bufs)) for lo in range(0, m, _BLOCK))
         # sum_sq squares each array in place; score may reuse it once it resumes
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fold(map(sum_sq, block) for block in blocks)
+            sums = _fold(map(sum_sq, score(*block, drawn)) for block in arrays)
+        # a group that does not draw this chunk adds (0.0, 0.0), which moves no bit:
+        # a fold from 0.0 never holds -0.0
+        k = len(sums) // len(drawn)
+        per = {g: sums[i * k:i * k + k] for i, g in enumerate(drawn)}
+        return [s for g in range(len(counts)) for s in per.get(g, [(0.0, 0.0)] * k)]
 
-    _check_n(n)
-    return _fold(_map_chunks(config, tag, n, chunk, workers))
+    return _fold(_map_chunks(config, tag, counts, chunk, workers))
 
 
 def _moments_to_estimate(total, total_sq, n):
@@ -147,10 +155,10 @@ def _chisq(rng, p, out):
     return out
 
 
-def _paired(thetas, specs, z, r2, x1, norm_sq, u, d):
-    """Yield d = |x - theta|^2 - |tau x - theta|^2 = g (u - g |x|^2) into `d`, for
-    each theta, then each spec; x1, norm_sq and u are scratch."""
-    for t in thetas:
+def _paired(thetas, specs, z, r2, x1, norm_sq, u, d, groups=None):
+    """Yield d = |x - theta|^2 - |tau x - theta|^2 = g (u - g |x|^2) into `d`, for each
+    theta (thetas[k] of each listed group k), then each spec; x1, norm_sq, u are scratch."""
+    for t in thetas if groups is None else [thetas[k] for k in groups]:
         np.add(t, z, out=x1)
         np.multiply(x1, x1, out=norm_sq)
         norm_sq += r2
@@ -174,7 +182,7 @@ def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
         x1[lo:lo + m] += config.theta_norm
         np.sqrt(_chisq(rng, config.p, r[lo:lo + m]), out=r[lo:lo + m])
 
-    _map_chunks(config, _TAG_CLOUD, n, chunk)
+    _map_chunks(config, _TAG_CLOUD, [n], chunk)
     return CloudSample(x1=x1, r=r)
 
 
@@ -184,7 +192,7 @@ def estimate_risk_mc(
     """Empirical risk of the estimator: mean squared error over n replications."""
     _check_finite_risk(config.p, [spec])
 
-    def score(z, r2, x1, norm_sq, u, d):
+    def score(z, r2, x1, norm_sq, u, d, _):
         # |tau x - theta|^2 = |x - theta|^2 - d = z^2 + r2 - d, into the spent u
         [d] = _paired([config.theta_norm], [spec], z, r2, x1, norm_sq, u, d)
         np.multiply(z, z, out=u)
@@ -196,7 +204,14 @@ def estimate_risk_mc(
     return _moments_to_estimate(total, total_sq, n)
 
 
-def estimate_delta_mc(config, specs, n: int, workers: int = 1):
+def _config_list(config):
+    configs = [config] if isinstance(config, ProblemConfig) else list(config)
+    if len({(cfg.p, cfg.seed) for cfg in configs}) != 1:
+        raise ValueError("a config list must be non-empty and share p and seed")
+    return configs
+
+
+def estimate_delta_mc(config, specs, n: int, workers: int = 1, counts=None):
     """Paired risk-difference estimate: loss(identity) - loss(spec) on common draws.
 
     `specs` may be an EstimatorSpec, a bare shrinkage constant c (a = 0), or
@@ -206,33 +221,42 @@ def estimate_delta_mc(config, specs, n: int, workers: int = 1):
     reduced observation cancels most of the sampling variance of differencing
     two independent risk estimates.  `config` may be a list of ProblemConfigs
     that share p and seed: each chunk is drawn once and scored at every theta,
-    and each config's result is bit-equal to its own call.
+    and each config's result is bit-equal to its own call.  `counts` gives each
+    config its own replication count, n being the largest, and keeps that.
     """
     single = not isinstance(specs, (list, tuple))
     specs = [
         s if isinstance(s, EstimatorSpec) else EstimatorSpec.shrink(float(s))
         for s in ([specs] if single else specs)
     ]
-    configs = [config] if isinstance(config, ProblemConfig) else list(config)
-    if len({(cfg.p, cfg.seed) for cfg in configs}) != 1:
-        raise ValueError("a config list must be non-empty and share p and seed")
+    configs = _config_list(config)
+    counts = [n] * len(configs) if counts is None else list(counts)
+    if len(counts) != len(configs) or max(counts) != n:
+        raise ValueError("counts must give one count per config, the largest equal to n")
     _check_finite_risk(configs[0].p, specs)
 
     score = functools.partial(_paired, [cfg.theta_norm for cfg in configs], specs)
-    sums = iter(_sums(configs[0], _TAG_DELTA, n, score, workers))
-    results = [[_moments_to_estimate(*next(sums), n) for _ in specs] for _ in configs]
+    sums = iter(_sums(configs[0], _TAG_DELTA, n, score, workers, counts))
+    results = [[_moments_to_estimate(*next(sums), m) for _ in specs] for m in counts]
     results = [r[0] for r in results] if single else results
     return results[0] if isinstance(config, ProblemConfig) else results
 
 
-def estimate_exceedance_prob(config: ProblemConfig, n: int, workers: int = 1) -> RiskEstimate:
-    """Empirical P(|X| >= |theta|), with a binomial standard error."""
+def estimate_exceedance_prob(config, n: int, workers: int = 1):
+    """Empirical P(|X| >= |theta|), with a binomial standard error; `config` may
+    be a list, as in estimate_delta_mc, for one estimate each on one set of draws."""
+    configs = _config_list(config)
 
-    def score(z, r2, *scratch):
+    def score(z, r2, x1, norm_sq, u, d, groups):
         # |X|^2 >= t^2 as z (2t + z) + r2 >= 0 with z = x1 - t: for a huge t,
         # t + z rounds to t and t * t overflows, and either loses the event.
-        yield z * (2.0 * config.theta_norm + z) + r2 >= 0.0
+        for g in groups:
+            np.add(2.0 * configs[g].theta_norm, z, out=x1)
+            x1 *= z
+            x1 += r2
+            yield np.greater_equal(x1, 0.0, out=d)  # 1.0 per hit: the count stays exact
 
-    [(hits, _)] = _sums(config, _TAG_EXCEED, n, score, workers)
-    phat = hits / n
-    return RiskEstimate(mean=phat, stderr=math.sqrt(phat * (1 - phat) / n), n=n)
+    sums = _sums(configs[0], _TAG_EXCEED, n, score, workers, [n] * len(configs))
+    phats = [hits / n for hits, _ in sums]
+    results = [RiskEstimate(mean=ph, stderr=math.sqrt(ph * (1 - ph) / n), n=n) for ph in phats]
+    return results[0] if isinstance(config, ProblemConfig) else results

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 __all__ = ["render_scatter"]
 
 _W, _H = 800, 600
@@ -17,7 +19,7 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 def _span(values):
     """(min, max) of values; a flat range widens by 1, or by one ulp where 1 rounds away."""
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         pad = max(1.0, math.ulp(lo))
         lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
@@ -25,8 +27,9 @@ def _span(values):
 
 
 def render_scatter(xs, ys, title, xlabel, ylabel, mode="points") -> str:
-    """Return an SVG document plotting (xs, ys) as points or a polyline."""
-    if len(xs) != len(ys) or not xs:
+    """Return an SVG document plotting (xs, ys), lists or arrays, as points or a polyline."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) != len(ys) or not len(xs):
         raise ValueError("need equal-length nonempty coordinate lists")
     (xlo, xhi), (ylo, yhi) = _span(xs), _span(ys)
 
@@ -62,15 +65,15 @@ def render_scatter(xs, ys, title, xlabel, ylabel, mode="points") -> str:
             f'<text x="{_ML - 10}" y="{sy(t):.2f}" text-anchor="end" '
             f'font-size="12">{t:.4g}</text>'
         )
+    with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
+        points = zip(sx(xs), sy(ys))
     if mode == "line":
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
         )
     else:
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2" fill="steelblue"/>'
-            )
+        for x, y in points:
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

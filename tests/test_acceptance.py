@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from stein_shrink import acceptance
+from stein_shrink import acceptance, conditional_delta_closed, conditional_losses
 
 _RESULTS = {}
 
@@ -126,3 +126,47 @@ def test_default_seed_prints_the_pinned_lines():
     got = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
            for r in map(_get, acceptance._CRITERIA)]
     assert got == _VERIFY_SEED_17
+
+
+# C08 and C11 at seed 7, where C03 trips: each draws its chunks once for all its
+# theta values, and these lines must stay as they are.
+_SEED_7 = {
+    acceptance.c08_exceedance:
+        "P(|X|>=|theta|) at theta=1e4: 0.50059 +- 0.00050 (target 0.5003790); "
+        "at theta=1: 1.00000 > 0.99: True",
+    acceptance.c11_regularized_trend:
+        "target 9.0, tol 10%; theta=20: (a+theta^2)*delta = 9.592 (n=1474070); "
+        "theta=40: (a+theta^2)*delta = 9.089 (n=5929167); "
+        "theta=80: (a+theta^2)*delta = 9.004 (n=23740598)",
+}
+
+
+@pytest.mark.parametrize("criterion", list(_SEED_7), ids=["c08", "c11"])
+def test_seed_7_prints_the_pinned_detail(criterion):
+    result = criterion(7, False)
+    assert (result.passed, result.detail) == (True, _SEED_7[criterion])
+
+
+def test_c06_array_draw_matches_the_scalar_loop(monkeypatch):
+    # the reference: 10^4 rounds of scalar uniform() draws and scalar calls per seed
+    calls = []
+    monkeypatch.setattr(acceptance, "conditional_losses",
+                        lambda *args: calls.append(args) or conditional_losses(*args))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        triples, worst = [], 0.0
+        for _ in range(10_000):
+            p = rng.uniform(2.0, 50.0)
+            t = rng.uniform(0.0, 100.0)
+            c = rng.uniform(-5.0, 3.0 * p)
+            triples.append((p, t, c))
+            a, b = conditional_losses(p, t, c).delta, conditional_delta_closed(p, t, c)
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), p))
+        calls.clear()
+        detail = acceptance.c06_conditional_algebra(seed, False).detail
+        drawn = calls[0]
+        assert np.array_equal(np.column_stack(drawn), np.array(triples))
+        a, b = conditional_losses(*drawn).delta, conditional_delta_closed(*drawn)
+        gap = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), drawn[0])
+        assert float(gap.max()) == worst
+        assert detail.startswith(f"worst relative gap {worst:.2e} over 10^4 draws; ")

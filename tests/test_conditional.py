@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,22 @@ class TestConditionalLosses:
                 route(1, 1.0, 1.0)
             with pytest.raises(ValueError, match="theta_norm must be >= 0"):
                 route(3, -1.0, 1.0)
+
+    def test_arrays_broadcast_and_floats_stay_floats(self):
+        p, t, c = np.array([3.0, 6.0, 20.0]), np.array([2.0, 3.0, 25.0]), 2.5
+        b = conditional_losses(p, t, c)
+        closed = conditional_delta_closed(p, t, c)
+        for k in range(3):
+            one = conditional_losses(p[k], t[k], c)
+            assert b.delta[k] == pytest.approx(one.delta, rel=1e-14)
+            assert closed[k] == conditional_delta_closed(p[k], t[k], c)
+        assert type(conditional_losses(3, 2.0, 1.0).delta) is float
+        assert type(conditional_delta_closed(3, 2.0, 1.0)) is float
+        for route in (conditional_losses, conditional_delta_closed):
+            with pytest.raises(ValueError, match="p >= 2"):
+                route(np.array([3.0, 1.0]), 1.0, 1.0)
+            with pytest.raises(ValueError, match="theta_norm must be >= 0"):
+                route(3, np.array([1.0, -1.0]), 1.0)
 
 
 class TestClosedForm:

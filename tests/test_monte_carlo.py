@@ -377,6 +377,60 @@ class TestBitExactRegression:
         digest = hashlib.sha256(cloud.x1.tobytes() + cloud.r.tobytes()).hexdigest()
         assert digest == self.CLOUD_SHA256[p]
 
+    # theta = 25 shares the first two chunks of theta = 0's three; theta = 1 ends on a
+    # chunk edge; theta = 4 stays inside the first chunk; theta = 3 repeats a count
+    COUNTS = [(0.0, N3), (25.0, 2 * CHUNK_SIZE + 999), (1.0, 2 * CHUNK_SIZE), (4.0, 1000),
+              (3.0, 2 * CHUNK_SIZE + 999)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_per_config_counts_equal_per_config_calls(self, workers):
+        specs = [1.0, EstimatorSpec.shrink_a(3, 10)]
+        configs = [ProblemConfig(5, t, seed=23) for t, _ in self.COUNTS]
+        counts = [m for _, m in self.COUNTS]
+        together = estimate_delta_mc(configs, specs, self.N3, workers, counts=counts)
+        alone = [estimate_delta_mc(cfg, specs, m, workers) for cfg, m in zip(configs, counts)]
+        assert [list(map(self._hex, ests)) for ests in together] == [
+            list(map(self._hex, ests)) for ests in alone
+        ]
+        assert [[e.n for e in ests] for ests in together] == [[m, m] for m in counts]
+
+    def test_per_config_counts_draw_each_chunk_once(self, monkeypatch):
+        # a chunk is keyed by its index and its length: the full chunks 0 and 1 serve
+        # four counts, and each distinct last chunk is drawn at its own length
+        seen, lengths = [], []
+        seed_sequence, chisq = np.random.SeedSequence, monte_carlo._chisq
+
+        def spy_seq(entropy):
+            seen.append(entropy[2])
+            return seed_sequence(entropy)
+
+        def spy_chisq(rng, p, out):
+            lengths.append(len(out))
+            return chisq(rng, p, out)
+
+        monkeypatch.setattr(np.random, "SeedSequence", spy_seq)
+        monkeypatch.setattr(monte_carlo, "_chisq", spy_chisq)
+        configs = [ProblemConfig(5, t, seed=23) for t, _ in self.COUNTS]
+        estimate_delta_mc(configs, 1.0, self.N3, counts=[m for _, m in self.COUNTS])
+        # (0, C), (1, C), (2, 12345), (2, 999) and (0, 1000)
+        assert sorted(seen) == [0, 0, 1, 2, 2]
+        assert sum(lengths) == 2 * CHUNK_SIZE + 12345 + 999 + 1000
+
+    @pytest.mark.parametrize("counts, n", [([10, 20], 10), ([10], 10), ([1, 10], 10)],
+                             ids=["n-not-largest", "one-count-two-configs", "count-below-2"])
+    def test_bad_counts_are_refused(self, counts, n):
+        configs = [ProblemConfig(5, t, seed=23) for t in (1.0, 2.0)]
+        with pytest.raises(ValueError):
+            estimate_delta_mc(configs, 1.0, n, counts=counts)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_exceedance_config_list_equals_per_config_calls(self, workers):
+        configs = [ProblemConfig(5, t, seed=23) for t in (0.0, 2.0, 1e4, 2.0, 1e200)]
+        together = estimate_exceedance_prob(configs, self.N3, workers)
+        assert together == [estimate_exceedance_prob(cfg, self.N3, workers) for cfg in configs]
+        assert self._hex(estimate_exceedance_prob(configs[1:2], self.N2)[0]) == (
+            "0x1.b3409e1c039f2p-1", "0x1.0248887bec9b2p-11")
+
     def test_chunk_partials_are_summed_left_to_right(self, monkeypatch):
         # a compensated sum (sum() of floats from Python 3.12 on) gives (1.0, 1.0) first
         parts = [[(1.0, 1.0), (2.0, 0.5)], [(1e100, 1e100), (1.0, 0.5)],
