@@ -174,8 +174,9 @@ def c05_optimal_constant(seed, fast):
 @_criterion("C06 conditional two-point algebra (direct vs closed form)")
 def c06_conditional_algebra(seed, fast):
     # 10^4 rounds of uniform(2, 50), uniform(0, 100), uniform(-5, 3p) in one draw, as
-    # uniform(lo, hi) is lo + (hi - lo) U.  `** 2` is numpy's square here; it stays, so
-    # that a scalar call, as in the `conditional` CLI, keeps libm's pow and its bits.
+    # uniform(lo, hi) is lo + (hi - lo) U.  `** 2` is numpy's square here, an ulp off
+    # libm's pow on a few deltas, so the printed gap may differ from a scalar loop's at
+    # some seed.  It stays, so a scalar call, as in the `conditional` CLI, keeps its bits.
     u = np.random.default_rng(seed).random((10_000, 3)).T
     p, t = 2.0 + 48.0 * u[0], 100.0 * u[1]
     c = -5.0 + (3.0 * p + 5.0) * u[2]

@@ -29,9 +29,9 @@ class ConditionalBreakdown:
 
 def _norms_sq(p, theta_norm: float):
     """(|xi_plus|^2, |xi_minus|^2) = ((theta_norm +- 1)^2 + p - 1)."""
-    if np.any(p < 2) if isinstance(p, np.ndarray) else p < 2:
+    if np.any(p < 2):
         raise ValueError(f"two-point model requires p >= 2, got p={p}")
-    if np.any(theta_norm < 0) if isinstance(theta_norm, np.ndarray) else theta_norm < 0:
+    if np.any(theta_norm < 0):
         raise ValueError(f"theta_norm must be >= 0, got {theta_norm}")
     up, um = theta_norm + 1.0, theta_norm - 1.0
     return up * up + (p - 1), um * um + (p - 1)

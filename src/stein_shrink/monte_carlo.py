@@ -97,10 +97,11 @@ def _map_chunks(config, tag, counts, chunk_fn, workers=1):
 
 
 def _fold(parts):
-    """Add (sum, sum of squares) partials left to right from 0.0, unlike sum() from 3.12."""
+    """Add (sum, sum of squares) partials left to right from 0.0, unlike sum() from 3.12;
+    a None partial, of a group that did not draw the chunk, adds nothing."""
     sums = itertools.repeat((0.0, 0.0))
     for part in parts:
-        sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
+        sums = [(s, q) if ab is None else (s + ab[0], q + ab[1]) for (s, q), ab in zip(sums, part)]
     return sums
 
 
@@ -125,11 +126,8 @@ def _sums(config, tag, n, score, workers=1, counts=None):
         # sum_sq squares each array in place; score may reuse it once it resumes
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _fold(map(sum_sq, score(*block, drawn)) for block in arrays)
-        # a group that does not draw this chunk adds (0.0, 0.0), which moves no bit:
-        # a fold from 0.0 never holds -0.0
-        k = len(sums) // len(drawn)
-        per = {g: sums[i * k:i * k + k] for i, g in enumerate(drawn)}
-        return [s for g in range(len(counts)) for s in per.get(g, [(0.0, 0.0)] * k)]
+        k, sums = len(sums) // len(drawn), iter(sums)
+        return [next(sums) if g in drawn else None for g in range(len(counts)) for _ in range(k)]
 
     return _fold(_map_chunks(config, tag, counts, chunk, workers))
 
