@@ -209,13 +209,14 @@ def _build_parser() -> _Parser:
 def _emit(args, header, columns, plot=None) -> int:
     """Write columns to --out as CSV and, given --svg, render_scatter(**plot) to it.
 
-    The plot is rendered, and --svg checked, before either file is written, and
-    neither file is replaced unless both are written.
+    The plot's input, and --svg, are checked before either file is written; its
+    blocks are streamed as the CSV's are, and neither file is replaced unless
+    both are written.
     """
     svg = []
     if plot is not None and args.svg:
         _target(args.svg)
-        svg.append((args.svg, [render_scatter(**plot)]))
+        svg.append((args.svg, render_scatter(**plot)))
     _write_csv(args.out, header, columns, *svg)
     return 0
 

@@ -1,7 +1,7 @@
 """Minimal SVG scatter/line rendering for documentation-grade figures.
 
-Fixed 800x600 viewBox, axis lines, tick labels at min/mid/max.  Not intended
-to be bit-stable across versions.
+Fixed 800x600 viewBox, axis lines, tick labels at min/mid/max.  The document
+is yielded in blocks of points, so a large cloud's text is never held whole.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ __all__ = ["render_scatter"]
 
 _W, _H = 800, 600
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+_BLOCK = 4096  # points per block of text
 
 
 def _span(values):
@@ -26,8 +27,9 @@ def _span(values):
     return lo, hi
 
 
-def render_scatter(xs, ys, title, xlabel, ylabel, mode="points") -> str:
-    """Return an SVG document plotting (xs, ys), lists or arrays, as points or a polyline."""
+def render_scatter(xs, ys, title, xlabel, ylabel, mode="points"):
+    """Return an SVG document plotting (xs, ys), lists or arrays, as points or a polyline, as
+    text blocks of _BLOCK points scaled as they are yielded; the input is checked at the call."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("need equal-length nonempty coordinate lists")
@@ -65,15 +67,20 @@ def render_scatter(xs, ys, title, xlabel, ylabel, mode="points") -> str:
             f'<text x="{_ML - 10}" y="{sy(t):.2f}" text-anchor="end" '
             f'font-size="12">{t:.4g}</text>'
         )
-    with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
-        points = zip(sx(xs), sy(ys))
+    # a block is one %-template: a line's points are joined by spaces, circles end lines
     if mode == "line":
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
-        )
+        head, point, sep = '<polyline points="', "%.2f,%.2f", " "
+        tail = '" fill="none" stroke="steelblue" stroke-width="1.5"/>\n'
     else:
-        for x, y in points:
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        point = '<circle cx="%.2f" cy="%.2f" r="2" fill="steelblue"/>\n'
+        head = sep = tail = ""
+
+    def document():
+        yield "\n".join(parts) + "\n" + head
+        for lo in range(0, len(xs), _BLOCK):
+            with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
+                xy = np.column_stack((sx(xs[lo:lo + _BLOCK]), sy(ys[lo:lo + _BLOCK])))
+            yield (sep if lo else "") + sep.join([point] * len(xy)) % tuple(xy.ravel().tolist())
+        yield tail + "</svg>\n"
+
+    return document()

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from stein_shrink import acceptance, conditional_delta_closed, conditional_losses
+from stein_shrink import acceptance, conditional_delta_closed, conditional_losses, monte_carlo
 
 _RESULTS = {}
 
@@ -83,6 +83,20 @@ def test_every_criterion_passes_a_plain_bool():
         assert type(result.passed) is bool, result.name
 
 
+def test_monte_carlo_runs_serial_or_on_two_threads(monkeypatch):
+    # the sampling is CPU-bound: threads past a 2-core host's cores only hold more chunks
+    seen = []
+    map_chunks = monte_carlo._map_chunks
+
+    def spy(config, tag, counts, chunk_fn, workers=1):
+        seen.append(workers)
+        return map_chunks(config, tag, counts, chunk_fn, workers)
+
+    monkeypatch.setattr(monte_carlo, "_map_chunks", spy)
+    acceptance.run_all(fast=True)
+    assert set(seen) == {1, acceptance._WORKERS} == {1, 2}
+
+
 def test_c08_far_check_is_centred_on_its_first_order_value():
     # at seed 913 the estimate sits 4.0 se above the limit 1/2 but 3.2 se
     # above 1/2 + (p-1)/(2 sqrt(2 pi) theta), the value at theta = 1e4
@@ -117,7 +131,7 @@ _VERIFY_SEED_17 = [
     "(a+theta^2)*delta = 9.585 (n=1473823); theta=40: (a+theta^2)*delta = 9.240 (n=5928357); "
     "theta=80: (a+theta^2)*delta = 9.133 (n=23740001)",
     "PASS  C12 byte-identical CSV determinism: 6 subcommands byte-identical across runs; "
-    "MC bit-equal for 1 vs 4 workers",
+    "MC bit-equal for 1 vs 2 workers",
 ]
 
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import math
 import os
 import resource
@@ -6,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -677,8 +679,35 @@ class TestPlot:
         (sys.float_info.max, -sys.float_info.max, 'cx="780.00" cy="550.00"'),
     ], ids=["1e300", "float-max"])
     def test_flat_range_at_any_finite_magnitude(self, x, y, where):
-        text = svgplot.render_scatter([x, x], [y, y], "t", "x", "y")
+        text = "".join(svgplot.render_scatter([x, x], [y, y], "t", "x", "y"))
         assert text.count(f"<circle {where}") == 2
+
+    # sha256 of each document as rendered before it was streamed in blocks of
+    # points; the cloud and the line cover two blocks each
+    @pytest.mark.parametrize("argv, digest", [
+        (["cloud", "--p", "3", "--theta", "0", "--n", "5000", "--seed", "3"],
+         "ef59de925911edb5f2689cfc675cc1f73f8ba03ed1363b2a6f8c184a97bcc7b6"),
+        (["risk-curve", "--p", "5", "--theta", "0:50:1500", "--c", "1,3,6"],
+         "fa973e482a8a03aaab02b87ad41f142b3166c6901543dbdd31aac84414297360"),
+        (["geometry", "--p", "5", "--theta", "3"],
+         "24a314860668b9bd749e5be01c63d3d47d1a297df4a2054d67b456b227c71f96"),
+    ], ids=["cloud", "risk-curve", "geometry"])
+    def test_svg_bytes_are_pinned(self, tmp_path, argv, digest):
+        svg = tmp_path / "p.svg"
+        assert cli.run(argv + ["--out", str(tmp_path / "p.csv"), "--svg", str(svg)]) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+    def test_svg_is_streamed_not_held_whole(self, tmp_path):
+        # the whole document, one string per point, peaked at 49 MiB; the CSV alone takes 5
+        argv = ["cloud", "--p", "20", "--theta", "25", "--n", "200000", "--seed", "7",
+                "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")]
+        tracemalloc.start()
+        try:
+            assert cli.run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_failed_plot_writes_neither_file(self, tmp_path, capsys, monkeypatch):
         def broken(**plot):

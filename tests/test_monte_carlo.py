@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -471,6 +472,12 @@ class TestMemoryCeiling:
     def test_one_chunk_holds_little_beyond_its_normals(self, estimate, args):
         peak = self._peak(estimate, ProblemConfig(5, 2.0, seed=3), *args, n=CHUNK_SIZE)
         assert peak < 1.25 * CHUNK_SIZE * 8
+
+    def test_two_workers_hold_two_chunks(self):
+        # four chunks on two threads: two chunks' normals and buffers live at once, not four
+        estimate = functools.partial(estimate_delta_mc, workers=2)
+        peak = self._peak(estimate, ProblemConfig(5, 2.0, seed=3), [1.0, 3.0], n=4 * CHUNK_SIZE)
+        assert peak < 2.5 * CHUNK_SIZE * 8
 
     def test_cloud_holds_little_beyond_its_two_outputs(self):
         n = TestBitExactRegression.N3
