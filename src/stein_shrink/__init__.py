@@ -1,25 +1,35 @@
 """Stein shrinkage estimators: exact risk formulas, the two-coordinate
 reduction, projection geometry, the two-point conditional heuristic, and
 seeded Monte Carlo verification of all of it.
+
+Each name in __all__ is imported from its submodule on first access (PEP 562),
+so a command line that never uses a submodule never loads it.
 """
 
-from .conditional import conditional_delta_closed, conditional_losses
-from .core import ProblemConfig
-from .estimators import EstimatorSpec, shrink_factor
-from .exact_risk import risk_delta_approx, risk_delta_exact
-from .geometry import ngo_projection
-from .monte_carlo import (
-    CloudSample,
-    RiskEstimate,
-    estimate_delta_mc,
-    estimate_exceedance_prob,
-    estimate_risk_mc,
-    simulate_cloud,
-)
-from .special import (
-    expected_chi_norm,
-    expected_chi_norm_asymptotic,
-    inv_noncentral_chisq_mean,
-)
+import importlib
 
+_SOURCES = {
+    "conditional": ["conditional_delta_closed", "conditional_losses"],
+    "core": ["ProblemConfig"],
+    "estimators": ["EstimatorSpec", "shrink_factor"],
+    "exact_risk": ["risk_delta_approx", "risk_delta_exact"],
+    "geometry": ["ngo_projection"],
+    "monte_carlo": ["CloudSample", "RiskEstimate", "estimate_delta_mc",
+                    "estimate_exceedance_prob", "estimate_risk_mc", "simulate_cloud"],
+    "special": ["expected_chi_norm", "expected_chi_norm_asymptotic", "inv_noncentral_chisq_mean"],
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,6 +4,7 @@ line endings, and atomic writes, so identical invocations are byte-identical.
 Each column gets one conversion, checked finite before any byte is written,
 and rows are streamed in fixed blocks into the atomic write's temp file.
 The argument parser is built once per process and keeps no state between calls.
+conditional, geometry, svgplot and acceptance are imported by the commands that run them.
 
 Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 """
@@ -20,13 +21,10 @@ import tempfile
 
 import numpy as np
 
-from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
 from .exact_risk import risk_delta_approx, risk_delta_exact
-from .geometry import ngo_projection
 from .monte_carlo import estimate_delta_mc, estimate_exceedance_prob, simulate_cloud
 from .special import expected_chi_norm, expected_chi_norm_asymptotic
-from .svgplot import render_scatter
 
 __all__ = ["run", "main"]
 
@@ -209,13 +207,15 @@ def _build_parser() -> _Parser:
 def _emit(args, header, columns, plot=None) -> int:
     """Write columns to --out as CSV and, given --svg, render_scatter(**plot) to it.
 
-    The plot's input, and --svg, are checked before either file is written; its
-    blocks are streamed as the CSV's are, and neither file is replaced unless
-    both are written.
+    The plot's input, and --svg, which must not name --out's file, are checked before
+    either file is written; its blocks are streamed as the CSV's are, and neither file
+    is replaced unless both are written.
     """
     svg = []
     if plot is not None and args.svg:
-        _target(args.svg)
+        if _target(args.svg) == _target(args.out):
+            raise _UsageError(f"--out and --svg name the same file: {args.svg!r}")
+        from .svgplot import render_scatter
         svg.append((args.svg, render_scatter(**plot)))
     _write_csv(args.out, header, columns, *svg)
     return 0
@@ -255,6 +255,8 @@ def _cmd_risk_curve(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
+    from .conditional import conditional_delta_closed, conditional_losses
+
     b = conditional_losses(args.p, args.theta, args.c)
     closed = conditional_delta_closed(args.p, args.theta, args.c)
     return _emit(args, ["p", "theta", "c", "l_plus_1", "l_plus_2", "l_minus_1", "l_minus_2",
@@ -264,6 +266,8 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from .geometry import ngo_projection
+
     rep = ngo_projection(args.p, args.theta)
     return _emit(args, ["ax", "ay", "bx", "by", "cx", "cy", "len_ab", "len_ob", "len_bc",
                         "shrink_factor"],

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +91,7 @@ def _map_chunks(config, tag, counts, chunk_fn, workers=1):
 
     if workers <= 1:
         return [run(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # only verify starts threads
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(run, jobs))
 

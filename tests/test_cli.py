@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stein_shrink import cli, monte_carlo, svgplot
+from stein_shrink import cli, exact_risk, monte_carlo, special, svgplot
 from stein_shrink.conditional import conditional_delta_closed
 from stein_shrink.core import ProblemConfig
 from stein_shrink.monte_carlo import simulate_cloud
@@ -185,13 +185,24 @@ class TestExitCodes:
         _, rows = _read_csv(out)
         assert [row[3:5] for row in rows] == [["4.999944335913415e-320"] * 2, ["0", "0"]]
 
+    def test_conditional_closed_form_past_theta_fourth_overflow(self, tmp_path):
+        # |xi+|^2 |xi-|^2 overflows from theta ~ 1.2e77: the parent printed 0 to 1e150,
+        # then NaN; these are 50-digit mpmath's values, rounded once
+        out = tmp_path / "x.csv"
+        got = []
+        for theta in ("1e78", "1e100", "1e150", "1e160"):
+            assert cli.run(["conditional", "--p", "3", "--theta", theta, "--c", "1",
+                            "--out", str(out)]) == 0
+            got.append(_read_csv(out)[1][0][-2:])
+        assert got == [["0", "1e-156"], ["0", "9.9999999999999998e-201"], ["0", "1e-300"],
+                       ["0", "9.9998886718268301e-321"]]
+
     def test_missing_output_directory_is_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "x.csv")
         assert cli.run(["special", "--p", "5", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, column", [
-        (["conditional", "--p", "3", "--theta", "1e160", "--c", "1"], "delta_closed"),
         (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"], "delta_closed"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e200"], "delta_exact"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e308"], "delta_exact"),
@@ -199,7 +210,7 @@ class TestExitCodes:
          "delta_exact"),
         (["risk-curve", "--p", "3", "--theta", "0:1:2", "--c", "1e150", "--mc-n", "100000"],
          "delta_mc_stderr"),
-    ], ids=["conditional-huge-theta", "conditional-huge-p", "risk-curve-huge-c",
+    ], ids=["conditional-huge-p", "risk-curve-huge-c",
             "risk-curve-c-inf-minus-inf", "risk-curve-mc-overflow",
             "risk-curve-mc-stderr-overflow"])
     def test_non_finite_output_is_exit_1(self, tmp_path, capsys, argv, column):
@@ -374,6 +385,20 @@ class TestOutputTarget:
         assert sorted(tmp_path.iterdir()) == sorted({fifo, path})
 
 
+    @pytest.mark.parametrize("via_link", [False, True], ids=["same-path", "symlink"])
+    def test_out_and_svg_naming_one_file_is_usage_error(self, tmp_path, capsys, via_link):
+        out = tmp_path / "x.csv"
+        svg = out
+        if via_link:
+            svg = tmp_path / "link.svg"
+            svg.symlink_to(out)
+        assert cli.run(["cloud", "--p", "5", "--theta", "1", "--n", "3", "--out", str(out),
+                        "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --out and --svg name the same file: {str(svg)!r}\n")
+        assert list(tmp_path.iterdir()) == ([svg] if via_link else [])
+
+
 class TestCloud:
     def test_rows_span_several_blocks(self, tmp_path):
         n = 2 * cli._BLOCK + 7
@@ -541,6 +566,35 @@ class TestEntryPoint:
         proc = self._main("cloud", "--p", "5")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    def test_special_loads_only_what_it_runs(self, tmp_path):
+        # `python -m stein_shrink.cli special ...`, then the modules the process holds
+        code = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('stein_shrink.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, *sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "special", "--p", "5", "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        )
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert "stein_shrink.special" in modules
+        unused = {"concurrent.futures", "stein_shrink.svgplot", "stein_shrink.conditional",
+                  "stein_shrink.geometry", "stein_shrink.acceptance"}
+        assert unused.isdisjoint(modules)
+
+    def test_traced_functions_are_bound_at_module_level(self):
+        # a tracer wraps what cli calls in other layers at these bindings
+        for module, names in [
+            (exact_risk, ["risk_delta_exact", "risk_delta_approx"]),
+            (monte_carlo, ["estimate_delta_mc", "estimate_exceedance_prob", "simulate_cloud"]),
+            (special, ["expected_chi_norm", "expected_chi_norm_asymptotic"]),
+        ]:
+            for name in names:
+                fn = vars(cli)[name]
+                assert fn is vars(module)[name] and fn.__module__ == module.__name__
 
 
 class TestParsing:
@@ -713,7 +767,7 @@ class TestPlot:
         def broken(**plot):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "render_scatter", broken)
+        monkeypatch.setattr(svgplot, "render_scatter", broken)
         assert cli.run(["cloud", "--p", "3", "--theta", "1", "--n", "10", "--out",
                         str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")]) == 1
         assert capsys.readouterr().err == "error: float division by zero\n"

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,3 +130,27 @@ class TestClosedForm:
                 assert diff == pytest.approx(-4 * t / prod, rel=1e-12)
                 assert summ == pytest.approx(2 * (t * t + p) / prod, rel=1e-12)
 
+
+
+class TestPastThetaFourthOverflow:
+    # |xi+|^2 |xi-|^2 overflows from theta ~ 1.2e77 at p = 3, where the parent printed
+    # 0 (to 1e150) and then NaN; 1e50 stays on the unchanged path
+    _THETAS = [1e50, 1e78, 1e100, 1e150, 1e160]
+
+    @staticmethod
+    def _want(p, t, c):
+        with mpmath.workdps(50):
+            p, t, c = mpmath.mpf(p), mpmath.mpf(t), mpmath.mpf(c)
+            prod = ((t + 1) ** 2 + p - 1) * ((t - 1) ** 2 + p - 1)
+            return float(2 / prod * ((c * (p - 2) - c * c / 2) * t * t + (c * p - c * c / 2) * p))
+
+    @pytest.mark.parametrize("t", _THETAS)
+    @pytest.mark.parametrize("p, c", [(3, 1.0), (3, 0.5), (20, 18.0)])
+    def test_matches_mpmath(self, p, t, c):
+        want = self._want(p, t, c)
+        assert want > 0
+        assert abs(conditional_delta_closed(p, t, c) - want) <= 2 * math.ulp(want)
+
+    def test_broadcasts(self):
+        got = conditional_delta_closed(3, np.array([2.0] + self._THETAS), 1.0)
+        assert got.tolist() == [conditional_delta_closed(3, t, 1.0) for t in [2.0] + self._THETAS]
