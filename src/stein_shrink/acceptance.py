@@ -6,15 +6,18 @@ Each criterion is a self-contained check with a pinned tolerance that returns
 one-line detail.  The same functions back both the `verify` CLI subcommand and
 the pytest acceptance module.
 
-Monte Carlo gates are multiples of the estimated standard error (4 sigma for
-single checks, 4.5 sigma for grid-wide sweeps).  With the pinned default seed
-these are deterministic.  Over other seeds they trip more often than a normal
-z would, every time at p = 3, where the paired difference has infinite
-variance: C03 is known to trip at seeds 7, 44, 51, 157, 183, 185, 6933, 6947,
-6952, 13207 and 13208, and C02 at 11, 38, 176, 928, 2142, 6936 and 15327.
-C09, at p = 20, is known to trip at 2544, where its mean x1 reads 24.904,
-about 4.3 se below 25.  Fast mode shrinks replication counts 100-fold and
-widens the gates to 6 sigma; it trips C02 at seeds 1000, 1054, 1081, 1087,
+Every Monte Carlo gate reads one statistic, z = |mean - target| / se, bound by 4
+in single checks and 4.5 in grid-wide sweeps (C02's far side is z > 4).  se is
+the estimate's standard error, or for C09's means of x1 ~ N(25, 1), r^2 ~ chi^2_19
+and |Z|^2 ~ chi^2_20(625) the exact 1/sqrt(n), sqrt(38/n) and sqrt(2540/n).  z
+is NaN for a NaN mean or an se outside (0, inf), so each gate fails closed.  With the
+pinned default seed these are deterministic.  Over other seeds they trip more
+often than a normal z would, every time at p = 3, where the paired difference
+has infinite variance: C03 is known to trip at seeds 7, 44, 51, 157, 183, 185,
+6933, 6947, 6952, 13207 and 13208, and C02 at 11, 38, 176, 928, 2142, 6936 and
+15327.  C09, at p = 20, is known to trip at 2544, where its mean x1 reads
+24.904, about 4.3 se below 25.  Fast mode shrinks replication counts 100-fold
+and widens the gates to 6 sigma; it trips C02 at seeds 1000, 1054, 1081, 1087,
 1110 and 1133, and C03 at 1011.
 """
 
@@ -33,7 +36,7 @@ from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor
 from .exact_risk import dominance_quadratic, risk_delta_exact
 from .geometry import ngo_projection
-from .monte_carlo import estimate_delta_mc, estimate_exceedance_prob
+from .monte_carlo import estimate_delta_mc, estimate_exceedance_prob, simulate_cloud
 from .special import expected_chi_norm, inv_noncentral_chisq_mean
 
 __all__ = ["CriterionResult", "run_all", "DEFAULT_SEED"]
@@ -89,6 +92,11 @@ def _grid_gate(fast):
     return 6.0 if fast else 4.5
 
 
+def _z(mean, target, se):
+    """|mean - target| / se where 0 < se < inf, else NaN; a NaN mean gives NaN too."""
+    return abs(mean - target) / se if 0 < se < math.inf else math.nan
+
+
 def _shrink_n(n, fast):
     return max(1000, n // 100) if fast else n
 
@@ -112,8 +120,8 @@ def c02_factor_two(seed, fast):
     n = _shrink_n(10_000_000, fast)
     g = _gate(fast)
     est = estimate_delta_mc(ProblemConfig(3, 0.0, seed), 1.0, n, workers=_WORKERS)
-    near_1 = abs(est.mean - 1.0) <= g * est.stderr
-    far_half = abs(est.mean - 0.5) > g * est.stderr
+    near_1 = _z(est.mean, 1.0, est.stderr) <= g
+    far_half = _z(est.mean, 0.5, est.stderr) > g
     return near_1 and far_half, (
         f"paired delta = {est.mean:.5f} +- {est.stderr:.5f} (n={n}); "
         f"within {g} se of 1.0: {near_1}, outside {g} se of 0.5: {far_half}"
@@ -134,10 +142,10 @@ def c03_exact_vs_mc(seed, fast):
         mcs = estimate_delta_mc(configs, cs, n, workers=_WORKERS)
         for t, ests, row in zip(_GRID_THETA, mcs, exacts):
             for c, exact, est in zip(cs, row, ests):
-                z = abs(est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
+                z = _z(est.mean, exact, est.stderr)
                 if z > worst:
                     worst, bad = z, (p, t, c)
-                if z > g:
+                if not z <= g:
                     return False, (
                         f"cell (p={p}, theta={t}, c={c}): exact {exact:.5f}, "
                         f"mc {est.mean:.5f} +- {est.stderr:.5f}, z={z:.2f} > {g}"
@@ -227,7 +235,7 @@ def c08_exceedance(seed, fast):
     far, near = estimate_exceedance_prob(configs, n, workers=_WORKERS)  # one set of draws
     # 1/2 + phi(0)(p-1)/(2 theta) to first order in 1/theta; 1/2 is 0.76 se off at n = 1e6
     target = 0.5 + (20 - 1) / (2.0 * math.sqrt(2.0 * math.pi) * 1e4)
-    ok_far = abs(far.mean - target) <= g * far.stderr
+    ok_far = _z(far.mean, target, far.stderr) <= g
     ok_near = near.mean > 0.99
     return ok_far and ok_near, (
         f"P(|X|>=|theta|) at theta=1e4: {far.mean:.5f} +- {far.stderr:.5f} "
@@ -237,29 +245,15 @@ def c08_exceedance(seed, fast):
 
 @_criterion("C09 cloud regime (p=20, theta=25, n=2000)")
 def c09_cloud_reproduction(seed, fast):
-    from . import cli  # imported here: cli imports this module to run verify
     g = _gate(fast)
-    with tempfile.TemporaryDirectory() as d:
-        out = os.path.join(d, "cloud.csv")
-        code = cli.run(
-            ["cloud", "--p", "20", "--theta", "25", "--n", "2000",
-             "--seed", str(seed), "--out", out]
-        )
-        if code != 0:
-            return False, f"cloud subcommand exited {code}"
-        with open(out) as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
-    x1 = np.array([float(r[1]) for r in rows])
-    r2 = np.array([float(r[2]) for r in rows]) ** 2
-    n = len(x1)
-    ok_x1 = abs(x1.mean() - 25.0) <= g / math.sqrt(n)
-    ok_r2 = abs(r2.mean() - 19.0) <= g * math.sqrt(38.0 / n)
-    nsq = x1 * x1 + r2
-    ok_nsq = abs(nsq.mean() - 645.0) <= g * math.sqrt((2 * 20 + 4 * 625.0) / n)
-    return ok_x1 and ok_r2 and ok_nsq, (
-        f"mean x1 {x1.mean():.3f} (25), mean r^2 {r2.mean():.3f} (19), "
-        f"mean |Z|^2 {nsq.mean():.2f} (645)"
-    )
+    n = 2000
+    cloud = simulate_cloud(ProblemConfig(20, 25.0, seed), n)
+    x1, r2 = cloud.x1, cloud.r ** 2
+    means = [x1.mean(), r2.mean(), (x1 * x1 + r2).mean()]
+    ok = all(_z(m, mu, math.sqrt(var / n)) <= g
+             for m, mu, var in zip(means, (25.0, 19.0, 645.0), (1.0, 38.0, 2 * 20 + 4 * 625.0)))
+    return ok, (f"mean x1 {means[0]:.3f} (25), mean r^2 {means[1]:.3f} (19), "
+                f"mean |Z|^2 {means[2]:.2f} (645)")
 
 
 @_criterion("C10 projection geometry and NGO agreement")

@@ -58,16 +58,18 @@ def conditional_delta_closed(p, theta_norm: float, c: float) -> float:
 
     [2 / (|xi+|^2 |xi-|^2)] * [q1 theta_norm^2 + q2 p], q1 = c(p-2) - c^2/2, q2 = cp - c^2/2.
 
-    Where |xi+|^2 |xi-|^2 overflows (the one test), the same value is formed in w =
-    1/theta_norm as 2 (q1 + q2 p w^2) w^2 / (a+ a-), a_pm = (1 +- w)^2 + (p-1) w^2,
-    multiplying by w last so that a subnormal result is rounded once.
+    Where |xi+|^2 |xi-|^2 overflows, through theta_norm or p (the one test), the value is
+    formed in w = 1/s and v = theta_norm/s, s = max(theta_norm, sqrt(p)) (v is exactly 1
+    where s = theta_norm), as 2 (q1 v^2 + q2 p w^2) w^2 / (a+ a-), a_pm = (v +- w)^2 +
+    (p-1) w^2, multiplying by w last so that a subnormal result is rounded once.
     """
     q1, q2 = c * (p - 2) - c * c / 2.0, c * p - c * c / 2.0
     with np.errstate(all="ignore"):
         norm_sq_plus, norm_sq_minus = _norms_sq(p, theta_norm)
         den = norm_sq_plus * norm_sq_minus
-        w = np.divide(1.0, theta_norm)
-        a_plus, a_minus = [(1.0 + e * w) ** 2 + (p - 1) * w * w for e in (1.0, -1.0)]
+        s = np.maximum(theta_norm, np.sqrt(p))
+        w, v = np.divide(1.0, s), np.where(theta_norm < s, theta_norm / s, 1.0)
+        a_plus, a_minus = [(v + e * w) ** 2 + (p - 1) * w * w for e in (1.0, -1.0)]
         out = np.where(den < np.inf, 2.0 / den * (q1 * (theta_norm * theta_norm) + q2 * p),
-                       (q1 + q2 * (p * w * w)) * (2.0 * w) / (a_plus * a_minus) * w)
+                       (q1 * (v * v) + q2 * (p * w * w)) * (2.0 * w) / (a_plus * a_minus) * w)
     return out if out.ndim else float(out)

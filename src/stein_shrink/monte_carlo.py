@@ -105,10 +105,9 @@ def _fold(parts):
     return sums
 
 
-def _sums(config, tag, n, score, workers=1, counts=None):
+def _sums(config, tag, counts, score, workers=1):
     """(sum, sum of squares) of each array score(z, r2, x1, norm_sq, u, d, groups)
-    yields, k per listed group g, over counts[g] draws (by default one group of n)."""
-    counts = [n] if counts is None else counts
+    yields, k per listed group g, over counts[g] draws."""
     for count in counts:
         _check_n(count)
 
@@ -120,7 +119,7 @@ def _sums(config, tag, n, score, workers=1, counts=None):
     def chunk(rng, start, m):
         drawn = [g for g, count in enumerate(counts) if min(CHUNK_SIZE, count - start) == m]
         z = rng.standard_normal(m)
-        r2, *bufs = [np.zeros(min(m, _BLOCK)) for _ in range(5)]
+        r2, *bufs = [np.empty(min(m, _BLOCK)) for _ in range(5)]
         arrays = ((z[lo:lo + _BLOCK], _chisq(rng, config.p, r2[:m - lo]),
                    *(b[:m - lo] for b in bufs)) for lo in range(0, m, _BLOCK))
         # sum_sq squares each array in place; score may reuse it once it resumes
@@ -146,18 +145,17 @@ def _check_finite_risk(p, specs):
 
 def _chisq(rng, p, out):
     """chi^2_{p-1} draws into `out`, read from the stream as rng.chisquare(p - 1)
-    reads it: chisquare(df) is 2 standard_gamma(df/2).  At p = 1 `out` is kept."""
-    if p >= 2:
-        rng.standard_gamma((p - 1) / 2, out=out)
-        out *= 2.0
+    reads it: chisquare(df) is 2 standard_gamma(df/2), whose shape 0 (p = 1) reads none."""
+    rng.standard_gamma((p - 1) / 2, out=out)
+    out *= 2.0
     return out
 
 
-def _paired(thetas, specs, z, r2, x1, norm_sq, u, d, groups=None):
-    """Yield d = |x - theta|^2 - |tau x - theta|^2 = g (u - g |x|^2) into `d`, for each
-    theta (thetas[k] of each listed group k), then each spec; x1, norm_sq, u are scratch."""
-    for t in thetas if groups is None else [thetas[k] for k in groups]:
-        np.add(t, z, out=x1)
+def _paired(thetas, specs, z, r2, x1, norm_sq, u, d, groups):
+    """Yield d = |x - theta|^2 - |tau x - theta|^2 = g (u - g |x|^2) into `d`, for
+    thetas[k] of each listed group k, then each spec; x1, norm_sq, u are scratch."""
+    for k in groups:
+        np.add(thetas[k], z, out=x1)
         np.multiply(x1, x1, out=norm_sq)
         norm_sq += r2
         np.multiply(x1, z, out=u)  # u = 2 x.(x - theta) = 2 (x1 z + r2)
@@ -173,7 +171,7 @@ def _paired(thetas, specs, z, r2, x1, norm_sq, u, d, groups=None):
 def simulate_cloud(config: ProblemConfig, n: int) -> CloudSample:
     """n independent reduced observations; bit-identical for a given seed."""
     _check_n(n, min_n=1)
-    x1, r = np.empty(n), np.zeros(n)
+    x1, r = np.empty(n), np.empty(n)
 
     def chunk(rng, lo, m):
         rng.standard_normal(out=x1[lo:lo + m])
@@ -190,15 +188,15 @@ def estimate_risk_mc(
     """Empirical risk of the estimator: mean squared error over n replications."""
     _check_finite_risk(config.p, [spec])
 
-    def score(z, r2, x1, norm_sq, u, d, _):
+    def score(z, r2, x1, norm_sq, u, d, groups):
         # |tau x - theta|^2 = |x - theta|^2 - d = z^2 + r2 - d, into the spent u
-        [d] = _paired([config.theta_norm], [spec], z, r2, x1, norm_sq, u, d)
+        [d] = _paired([config.theta_norm], [spec], z, r2, x1, norm_sq, u, d, groups)
         np.multiply(z, z, out=u)
         u += r2
         u -= d
         yield u
 
-    [(total, total_sq)] = _sums(config, _TAG_RISK, n, score, workers)
+    [(total, total_sq)] = _sums(config, _TAG_RISK, [n], score, workers)
     return _moments_to_estimate(total, total_sq, n)
 
 
@@ -234,7 +232,7 @@ def estimate_delta_mc(config, specs, n: int, workers: int = 1, counts=None):
     _check_finite_risk(configs[0].p, specs)
 
     score = functools.partial(_paired, [cfg.theta_norm for cfg in configs], specs)
-    sums = iter(_sums(configs[0], _TAG_DELTA, n, score, workers, counts))
+    sums = iter(_sums(configs[0], _TAG_DELTA, counts, score, workers))
     results = [[_moments_to_estimate(*next(sums), m) for _ in specs] for m in counts]
     results = [r[0] for r in results] if single else results
     return results[0] if isinstance(config, ProblemConfig) else results
@@ -254,7 +252,7 @@ def estimate_exceedance_prob(config, n: int, workers: int = 1):
             x1 += r2
             yield np.greater_equal(x1, 0.0, out=d)  # 1.0 per hit: the count stays exact
 
-    sums = _sums(configs[0], _TAG_EXCEED, n, score, workers, [n] * len(configs))
+    sums = _sums(configs[0], _TAG_EXCEED, [n] * len(configs), score, workers)
     phats = [hits / n for hits, _ in sums]
     results = [RiskEstimate(mean=ph, stderr=math.sqrt(ph * (1 - ph) / n), n=n) for ph in phats]
     return results[0] if isinstance(config, ProblemConfig) else results

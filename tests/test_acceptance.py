@@ -7,12 +7,15 @@ E[1/chi^2_p] = 1/(p-2) exactly, so the gap is 1 - (p-2)/p.  It also checks
 Jensen's strict lower bound on a grid and a gap below 1% at (p=5, lambda=1e4).
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from stein_shrink import acceptance, conditional_delta_closed, conditional_losses, monte_carlo
+from stein_shrink import (ProblemConfig, acceptance, conditional_delta_closed,
+                          conditional_losses, monte_carlo)
+from stein_shrink.monte_carlo import RiskEstimate
 
 _RESULTS = {}
 
@@ -103,6 +106,41 @@ def test_c08_far_check_is_centred_on_its_first_order_value():
     result = acceptance.c08_exceedance(913, False)
     assert result.passed, result.detail
     assert "0.50200 +- 0.00050 (target 0.5003790)" in result.detail
+
+
+def _every_cell(mean, se):
+    """A stand-in for estimate_delta_mc that gives every cell the estimate (mean, se)."""
+    est = RiskEstimate(mean, se, 100)
+    return lambda config, specs, n, workers=1: (
+        est if isinstance(config, ProblemConfig) else [[est] * len(specs) for _ in config])
+
+
+def _cloud_with_a_nan(config, n):
+    cloud = monte_carlo.simulate_cloud(config, n)
+    cloud.r[0] = math.nan
+    return cloud
+
+
+_BAD_CELLS = {"nan-mean": (math.nan, 0.01), "nan-se": (1.0, math.nan),
+              "zero-se": (1.0, 0.0), "inf-se": (1.0, math.inf)}
+
+
+@pytest.mark.parametrize("criterion, estimator, fake", [
+    *(pytest.param(criterion, "estimate_delta_mc", _every_cell(*bad),
+                   id=f"{criterion.__name__[:3]}-{kind}")
+      for criterion in (acceptance.c02_factor_two, acceptance.c03_exact_vs_mc)
+      for kind, bad in _BAD_CELLS.items()),
+    pytest.param(acceptance.c08_exceedance, "estimate_exceedance_prob",
+                 lambda configs, n, workers=1: [RiskEstimate(math.nan, 5e-4, n),
+                                                RiskEstimate(1.0, 0.0, n)], id="c08-nan-mean"),
+    pytest.param(acceptance.c09_cloud_reproduction, "simulate_cloud", _cloud_with_a_nan,
+                 id="c09-nan-entry"),
+])
+def test_every_z_gate_fails_closed(monkeypatch, criterion, estimator, fake):
+    # a NaN z passes no gate, so a NaN mean, or an se outside (0, inf), fails its criterion
+    monkeypatch.setattr(acceptance, estimator, fake)
+    result = criterion(acceptance.DEFAULT_SEED, False)
+    assert not result.passed, result.detail
 
 
 # `verify --seed 17` (the default seed, full mode), line for line.  Any move of

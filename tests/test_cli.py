@@ -197,20 +197,27 @@ class TestExitCodes:
         assert got == [["0", "1e-156"], ["0", "9.9999999999999998e-201"], ["0", "1e-300"],
                        ["0", "9.9998886718268301e-321"]]
 
+    def test_conditional_closed_form_past_overflow_through_p(self, tmp_path):
+        # |xi+|^2 |xi-|^2 overflows through p = 1e200 at theta = 1, where the closed form
+        # used to be NaN (exit 1); 2 is 50-digit mpmath's value
+        out = tmp_path / "x.csv"
+        assert cli.run(["conditional", "--p", "1e200", "--theta", "1", "--c", "1",
+                        "--out", str(out)]) == 0
+        assert _read_csv(out)[1][0][-2:] == ["0", "2"]
+
     def test_missing_output_directory_is_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "x.csv")
         assert cli.run(["special", "--p", "5", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, column", [
-        (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"], "delta_closed"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e200"], "delta_exact"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e308"], "delta_exact"),
         (["risk-curve", "--p", "5", "--theta", "1", "--c", "1e300", "--mc-n", "100"],
          "delta_exact"),
         (["risk-curve", "--p", "3", "--theta", "0:1:2", "--c", "1e150", "--mc-n", "100000"],
          "delta_mc_stderr"),
-    ], ids=["conditional-huge-p", "risk-curve-huge-c",
+    ], ids=["risk-curve-huge-c",
             "risk-curve-c-inf-minus-inf", "risk-curve-mc-overflow",
             "risk-curve-mc-stderr-overflow"])
     def test_non_finite_output_is_exit_1(self, tmp_path, capsys, argv, column):

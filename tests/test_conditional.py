@@ -151,6 +151,14 @@ class TestPastThetaFourthOverflow:
         assert want > 0
         assert abs(conditional_delta_closed(p, t, c) - want) <= 2 * math.ulp(want)
 
+    @pytest.mark.parametrize("p, t, c", [(1e200, 1.0, 1.0), (1e300, 0.0, 2.5),
+                                         (1e200, 1e150, 3.0)])
+    def test_matches_mpmath_past_overflow_through_p(self, p, t, c):
+        # from p ~ 1.3e154 the product overflows through p, where the closed form was NaN
+        want = self._want(p, t, c)
+        assert want > 0
+        assert abs(conditional_delta_closed(p, t, c) - want) <= 2 * math.ulp(want)
+
     def test_broadcasts(self):
         got = conditional_delta_closed(3, np.array([2.0] + self._THETAS), 1.0)
         assert got.tolist() == [conditional_delta_closed(3, t, 1.0) for t in [2.0] + self._THETAS]

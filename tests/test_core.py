@@ -30,7 +30,7 @@ class TestReductionProperties:
             resid = x - x1 * theta / t
             r2 = float(resid @ resid)
             assert x1 * x1 + r2 == pytest.approx(float(x @ x), rel=1e-10)
-            [d] = _paired([t], [spec], np.array([x1 - t]), np.array([r2]), *np.empty((4, 1)))
+            [d] = _paired([t], [spec], np.array([x1 - t]), np.array([r2]), *np.empty((4, 1)), [0])
             want = float((x - theta) @ (x - theta)) - _full_loss(spec, x, theta)
             assert d[0] == pytest.approx(want, rel=1e-10)
 

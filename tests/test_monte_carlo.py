@@ -437,7 +437,7 @@ class TestBitExactRegression:
         parts = [[(1.0, 1.0), (2.0, 0.5)], [(1e100, 1e100), (1.0, 0.5)],
                  [(-1e100, -1e100), (0.5, 4.0)]]
         monkeypatch.setattr(monte_carlo, "_map_chunks", lambda *args, **kwargs: parts)
-        assert monte_carlo._sums(None, 0, 3, None) == [(0.0, 0.0), (3.5, 5.0)]
+        assert monte_carlo._sums(None, 0, [3], None) == [(0.0, 0.0), (3.5, 5.0)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 20, 10**6])
