@@ -9,13 +9,12 @@ so a command line that never uses a submodule never loads it.
 import importlib
 
 _SOURCES = {
-    "conditional": ["conditional_delta_closed", "conditional_losses"],
     "core": ["ProblemConfig"],
     "estimators": ["EstimatorSpec", "shrink_factor"],
     "exact_risk": ["risk_delta_approx", "risk_delta_exact"],
-    "geometry": ["ngo_projection"],
     "monte_carlo": ["CloudSample", "RiskEstimate", "estimate_delta_mc",
                     "estimate_exceedance_prob", "estimate_risk_mc", "simulate_cloud"],
+    "plane": ["conditional_delta_closed", "conditional_losses", "ngo_projection"],
     "special": ["expected_chi_norm", "expected_chi_norm_asymptotic", "inv_noncentral_chisq_mean"],
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

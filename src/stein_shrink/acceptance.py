@@ -7,18 +7,18 @@ one-line detail.  The same functions back both the `verify` CLI subcommand and
 the pytest acceptance module.
 
 Every Monte Carlo gate reads one statistic, z = |mean - target| / se, bound by 4
-in single checks and 4.5 in grid-wide sweeps (C02's far side is z > 4).  se is
-the estimate's standard error, or for C09's means of x1 ~ N(25, 1), r^2 ~ chi^2_19
-and |Z|^2 ~ chi^2_20(625) the exact 1/sqrt(n), sqrt(38/n) and sqrt(2540/n).  z
-is NaN for a NaN mean or an se outside (0, inf), so each gate fails closed.  With the
-pinned default seed these are deterministic.  Over other seeds they trip more
-often than a normal z would, every time at p = 3, where the paired difference
-has infinite variance: C03 is known to trip at seeds 7, 44, 51, 157, 183, 185,
-6933, 6947, 6952, 13207 and 13208, and C02 at 11, 38, 176, 928, 2142, 6936 and
-15327.  C09, at p = 20, is known to trip at 2544, where its mean x1 reads
-24.904, about 4.3 se below 25.  Fast mode shrinks replication counts 100-fold
-and widens the gates to 6 sigma; it trips C02 at seeds 1000, 1054, 1081, 1087,
-1110 and 1133, and C03 at 1011.
+in single checks and 4.5 in grid-wide sweeps (C02's far side is z > 4).  se is the
+estimate's standard error, or for C09's means of x1 ~ N(25, 1), r^2 ~ chi^2_19 and
+|Z|^2 ~ chi^2_20(625) the exact 1/sqrt(n), sqrt(38/n) and sqrt(2540/n).  z is NaN
+for a NaN mean or an se outside (0, inf), so each gate fails closed, as do the
+exact checks of C04, C05 and C10 on a NaN.  With the pinned default seed these are
+deterministic.  Over other seeds they trip more often than a normal z would, every
+time at p = 3, where the paired difference has infinite variance: C03 is known to
+trip at seeds 7, 44, 51, 83, 157, 183, 185, 6933, 6947, 6952, 13207 and 13208, and
+C02 at 11, 38, 176, 928, 2142, 6936 and 15327.  C09, at p = 20, is known to trip
+at 2544, where its mean x1 reads 24.904, about 4.3 se below 25.  Fast mode shrinks
+replication counts 100-fold and widens the gates to 6 sigma; it trips C02 at seeds
+1000, 1054, 1081, 1087, 1110 and 1133, and C03 at 1011.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import conditional_delta_closed, conditional_losses
 from .core import ProblemConfig
 from .estimators import EstimatorSpec, shrink_factor
 from .exact_risk import dominance_quadratic, risk_delta_exact
-from .geometry import ngo_projection
 from .monte_carlo import estimate_delta_mc, estimate_exceedance_prob, simulate_cloud
+from .plane import conditional_delta_closed, conditional_losses, ngo_projection
 from .special import expected_chi_norm, inv_noncentral_chisq_mean
 
 __all__ = ["CriterionResult", "run_all", "DEFAULT_SEED"]
@@ -164,7 +163,7 @@ def c04_dominance_window(seed, fast):
                 if not d > 0:
                     return False, f"delta <= 0 inside window at (p={p}, theta={t}, c={c})"
             for c, d in zip((0.0, hi), deltas[4:6]):
-                if abs(d) > 1e-12:
+                if not abs(d) <= 1e-12:
                     return False, f"delta not 0 at window edge (p={p}, theta={t}, c={c})"
             if not deltas[6] < 0:
                 return False, f"delta not negative outside window at (p={p}, theta={t})"
@@ -177,9 +176,10 @@ def c05_optimal_constant(seed, fast):
     for p in _GRID_P:
         cs = np.arange(0.0, 2.0 * (p - 2) + 1e-9, 0.01)
         for t, deltas in zip(_GRID_THETA, risk_delta_exact(p, _THETA_COL, cs)):
-            c_star = cs[int(np.argmax(deltas))]
+            # np.argmax points at a NaN, so a row with one has no argmax
+            c_star = cs[int(np.argmax(deltas))] if np.isfinite(deltas).all() else math.nan
             worst = max(worst, abs(c_star - (p - 2)))
-            if abs(c_star - (p - 2)) > 0.01:
+            if not abs(c_star - (p - 2)) <= 0.01:
                 return False, f"argmax {c_star} != {p - 2} at (p={p}, theta={t})"
     return True, f"argmax within {worst:.4f} <= 0.01 of p-2 over all (p, theta)"
 
@@ -266,7 +266,7 @@ def c10_geometry(seed, fast):
             perp = abs(float((rep.a - rep.c_point) @ rep.b))
             ngo = shrink_factor(EstimatorSpec.shrink(p - 1.0), float(rep.b @ rep.b)) * rep.b
             proj = float(np.max(np.abs(ngo - rep.c_point)))
-            worst = max(worst, e1, perp / max(1.0, rep.len_ob**2), proj)
+            worst = np.max([worst, e1, perp / max(1.0, rep.len_ob**2), proj])  # NaN propagates
     return worst <= 1e-12, (
         f"worst identity/perpendicularity/agreement residual {worst:.2e} <= 1e-12"
     )

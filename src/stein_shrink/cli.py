@@ -4,7 +4,7 @@ line endings, and atomic writes, so identical invocations are byte-identical.
 Each column gets one conversion, checked finite before any byte is written,
 and rows are streamed in fixed blocks into the atomic write's temp file.
 The argument parser is built once per process and keeps no state between calls.
-conditional, geometry, svgplot and acceptance are imported by the commands that run them.
+plane, svgplot and acceptance are imported by the commands that run them.
 
 Exit codes: 0 success, 1 computation/domain error, 2 usage error.
 """
@@ -236,7 +236,8 @@ def _cmd_risk_curve(args) -> int:
         raise _UsageError(f"--mc-n must be >= 2, got {args.mc_n}")
     # One call for the whole grid, theta down and c across, in the order of the rows.
     theta_col, c_row = np.array(thetas)[:, None], np.array(cs)
-    exact = risk_delta_exact(args.p, theta_col, c_row).ravel().tolist()
+    grid = risk_delta_exact(args.p, theta_col, c_row)
+    exact = grid.ravel().tolist()
     approx = risk_delta_approx(args.p, theta_col, c_row).ravel().tolist()
     rows = [(args.p, t, c, ex, ap, None, None)
             for (t, c), ex, ap in zip(itertools.product(thetas, cs), exact, approx)]
@@ -247,15 +248,14 @@ def _cmd_risk_curve(args) -> int:
         rows = [row[:5] + (est.mean, est.stderr) for row, est in zip(rows, ests)]
     header = ["p", "theta", "c", "delta_exact", "delta_approx",
               "delta_mc_mean", "delta_mc_stderr"]
-    return _emit(args, header, zip(*rows), plot=dict(
-        xs=[row[1] for row in rows], ys=[row[3] for row in rows],
-        title=f"Exact risk difference, p={args.p}",
+    return _emit(args, header, zip(*rows), plot=dict(  # one line per c
+        xs=thetas, ys=grid, title=f"Exact risk difference, p={args.p}",
         xlabel="theta", ylabel="delta", mode="line",
     ))
 
 
 def _cmd_conditional(args) -> int:
-    from .conditional import conditional_delta_closed, conditional_losses
+    from .plane import conditional_delta_closed, conditional_losses
 
     b = conditional_losses(args.p, args.theta, args.c)
     closed = conditional_delta_closed(args.p, args.theta, args.c)
@@ -266,7 +266,7 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    from .geometry import ngo_projection
+    from .plane import ngo_projection
 
     rep = ngo_projection(args.p, args.theta)
     return _emit(args, ["ax", "ay", "bx", "by", "cx", "cy", "len_ab", "len_ob", "len_bc",

@@ -1,21 +1,62 @@
-"""Two-point conditional risk model at xi_pm = (theta_norm +- 1, sqrt(p-1)).
+"""The paper's reduced plane: the constructions behind Stein's heuristic and its
+two-point refinement.
 
-The pair xi_plus, xi_minus models the stochastic variation of the reduced
-observation along the theta direction.  Conditional on landing at one of the
-two (equally likely) points, the loss of the c-shrinkage estimator decomposes
-coordinate-wise, and the improvement over the identity has an exact closed
-form whose sign for all theta_norm >= 0 is governed by 0 < c < 2(p-2).
+Origin O, target A = (theta_norm, 0), and the typical observation
+B = (theta_norm, sqrt(p-1)).  C is the foot of the perpendicular from A onto the
+ray O-B: similar triangles give |BC| = |AB|^2 / |OB|, and C = (1 - (p-1)/|B|^2) B,
+the shrinkage with c = p - 1 that defines the naive geometrically optimal estimator.
 
-p may be any real >= 2 here; the algebra is polynomial in p, and broadcasts.
+The pair xi_pm = B +- (1, 0), equally likely, models the observation's variation
+along theta.  Conditional on landing at one of them, the loss of the c-shrinkage
+estimator decomposes coordinate-wise, and its improvement over the identity has a
+closed form whose sign for all theta_norm >= 0 is governed by 0 < c < 2(p-2).
+There p may be any real >= 2; the algebra is polynomial in p, and broadcasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, sqrt
 
 import numpy as np
 
-__all__ = ["ConditionalBreakdown", "conditional_losses", "conditional_delta_closed"]
+__all__ = ["GeometryReport", "ngo_projection",
+           "ConditionalBreakdown", "conditional_losses", "conditional_delta_closed"]
+
+
+@dataclass(frozen=True)
+class GeometryReport:
+    a: np.ndarray
+    b: np.ndarray
+    c_point: np.ndarray
+    len_ab: float
+    len_ob: float
+    len_bc: float
+    shrink_factor: float
+
+
+def ngo_projection(p: int, theta_norm: float) -> GeometryReport:
+    """Project the target onto the observation ray at the distribution center."""
+    if p < 2:
+        raise ValueError(f"projection requires p >= 2, got p={p}")
+    if theta_norm <= 0:
+        raise ValueError("projection degenerate: theta_norm must be > 0")
+    a = np.array([theta_norm, 0.0])
+    b = np.array([theta_norm, sqrt(p - 1.0)])
+    # |B|^2 overflows from theta_norm ~ 1e154; the factor is then 1 to double
+    # precision, and |B| itself comes from hypot.
+    with np.errstate(over="ignore"):
+        factor = 1.0 - (p - 1.0) / float(b @ b)
+    len_ob = hypot(theta_norm, sqrt(p - 1.0))
+    return GeometryReport(
+        a=a,
+        b=b,
+        c_point=factor * b,
+        len_ab=sqrt(p - 1.0),
+        len_ob=len_ob,
+        len_bc=(p - 1.0) / len_ob,
+        shrink_factor=factor,
+    )
 
 
 @dataclass(frozen=True)

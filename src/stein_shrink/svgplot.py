@@ -29,7 +29,8 @@ def _span(values):
 
 def render_scatter(xs, ys, title, xlabel, ylabel, mode="points"):
     """Return an SVG document plotting (xs, ys), lists or arrays, as points or a polyline, as
-    text blocks of _BLOCK points scaled as they are yielded; the input is checked at the call."""
+    text blocks of _BLOCK points scaled as they are yielded; the input is checked at the call.
+    ys may be a (len(xs), k) grid: one set of points, or one polyline, per column."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("need equal-length nonempty coordinate lists")
@@ -76,11 +77,14 @@ def render_scatter(xs, ys, title, xlabel, ylabel, mode="points"):
         head = sep = tail = ""
 
     def document():
-        yield "\n".join(parts) + "\n" + head
-        for lo in range(0, len(xs), _BLOCK):
-            with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
-                xy = np.column_stack((sx(xs[lo:lo + _BLOCK]), sy(ys[lo:lo + _BLOCK])))
-            yield (sep if lo else "") + sep.join([point] * len(xy)) % tuple(xy.ravel().tolist())
-        yield tail + "</svg>\n"
+        yield "\n".join(parts) + "\n"
+        for column in ys.reshape(len(ys), -1).T:
+            yield head
+            for lo in range(0, len(xs), _BLOCK):
+                with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
+                    xy = np.column_stack((sx(xs[lo:lo + _BLOCK]), sy(column[lo:lo + _BLOCK])))
+                yield (sep if lo else "") + sep.join([point] * len(xy)) % tuple(xy.ravel().tolist())
+            yield tail
+        yield "</svg>\n"
 
     return document()

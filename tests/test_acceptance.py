@@ -7,6 +7,7 @@ E[1/chi^2_p] = 1/(p-2) exactly, so the gap is 1 - (p-2)/p.  It also checks
 Jensen's strict lower bound on a grid and a gap below 1% at (p=5, lambda=1e4).
 """
 
+import dataclasses
 import math
 import re
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from stein_shrink import (ProblemConfig, acceptance, conditional_delta_closed,
-                          conditional_losses, monte_carlo)
+                          conditional_losses, monte_carlo, ngo_projection)
 from stein_shrink.monte_carlo import RiskEstimate
 
 _RESULTS = {}
@@ -139,6 +140,28 @@ _BAD_CELLS = {"nan-mean": (math.nan, 0.01), "nan-se": (1.0, math.nan),
 def test_every_z_gate_fails_closed(monkeypatch, criterion, estimator, fake):
     # a NaN z passes no gate, so a NaN mean, or an se outside (0, inf), fails its criterion
     monkeypatch.setattr(acceptance, estimator, fake)
+    result = criterion(acceptance.DEFAULT_SEED, False)
+    assert not result.passed, result.detail
+
+
+def _exact_with_nan_where(pick):
+    """risk_delta_exact with NaN in each column whose c satisfies pick(p, c)."""
+    exact = acceptance.risk_delta_exact
+    return lambda p, t, c: np.where(pick(p, np.asarray(c)), math.nan, exact(p, t, c))
+
+
+@pytest.mark.parametrize("criterion, name, fake", [
+    (acceptance.c04_dominance_window, "risk_delta_exact",
+     _exact_with_nan_where(lambda p, c: (c == 0.0) | (c == 2.0 * (p - 2)))),
+    (acceptance.c05_optimal_constant, "risk_delta_exact",
+     _exact_with_nan_where(lambda p, c: abs(c - (p - 2)) < 0.005)),
+    (acceptance.c10_geometry, "ngo_projection",
+     lambda p, t: dataclasses.replace(ngo_projection(p, t), c_point=np.full(2, math.nan),
+                                      len_bc=math.nan)),
+], ids=["c04-nan-at-edges", "c05-nan-at-p-2", "c10-nan-c-and-bc"])
+def test_every_exact_check_fails_closed(monkeypatch, criterion, name, fake):
+    # a NaN passed C04's edge test, C05's argmax (it points at the NaN) and C10's max
+    monkeypatch.setattr(acceptance, name, fake)
     result = criterion(acceptance.DEFAULT_SEED, False)
     assert not result.passed, result.detail
 

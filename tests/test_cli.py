@@ -2,6 +2,7 @@ import errno
 import hashlib
 import math
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -10,12 +11,13 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stein_shrink import cli, exact_risk, monte_carlo, special, svgplot
-from stein_shrink.conditional import conditional_delta_closed
+from stein_shrink.plane import conditional_delta_closed
 from stein_shrink.core import ProblemConfig
 from stein_shrink.monte_carlo import simulate_cloud
 from stein_shrink.special import expected_chi_norm
@@ -307,6 +309,25 @@ class TestOutputFiles:
         assert cli.run(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == golden.encode()
 
+    # sha256 of the two-point model's and the projection's CSVs, each column at 17 digits
+    @pytest.mark.parametrize("argv, digest", [
+        (["conditional", "--p", "3", "--theta", "2", "--c", "1"],
+         "15d84ab058a4c7e88677d9a77b9675e70ad44db2a8b0e285d77b976380f8a16b"),
+        (["conditional", "--p", "1e200", "--theta", "1", "--c", "1"],
+         "8bcbdbd9cc7c5ae2ecbd5c5c7238bcebe08a2f960267bb6974df307f972559ec"),
+        (["conditional", "--p", "3", "--theta", "1e160", "--c", "1"],
+         "4a4ec43054128cfe5dc3a6187fc4718db35b2ce6e04e91d52f4b564193576452"),
+        (["geometry", "--p", "5", "--theta", "3"],
+         "c69546ca37e21aac9404446c3be83f4c2ba35a953b404f6ab256b17f252c38ba"),
+        (["geometry", "--p", "5", "--theta", "1e200"],
+         "5c22e47fd991e05234e96166cd1596e89a000a8b869a87e34b48104ca427b661"),
+    ], ids=["conditional", "conditional-huge-p", "conditional-huge-theta", "geometry",
+            "geometry-huge-theta"])
+    def test_plane_csv_bytes_are_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert cli.run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_golden_risk_curve_moved_only_by_rounding(self):
         rows = [line.split(",")[5:] for line in _GOLDEN_RISK_CURVE.splitlines()[1:]]
         for row, old in zip(rows, _OLD_RISK_CURVE_MC, strict=True):
@@ -474,6 +495,21 @@ class TestRiskCurve:
         text = svg.read_text()
         assert text.startswith("<svg") and "<polyline" in text
 
+    def test_svg_draws_one_line_per_c(self, tmp_path):
+        # the rows run theta-major; each c's line runs left to right through its own deltas
+        out, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        assert cli.run(["risk-curve", "--p", "5", "--theta", "0:50:5000", "--c", "1,3,6",
+                        "--out", str(out), "--svg", str(svg)]) == 0
+        _, rows = _read_csv(out)
+        deltas = np.array([float(row[3]) for row in rows]).reshape(5000, 3)
+        lo, hi = deltas.min(), deltas.max()
+        lines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+        assert len(lines) == 3
+        for line, column in zip(lines, deltas.T):
+            x, y = np.array([pt.split(",") for pt in line.split()], dtype=float).T
+            assert len(x) == 5000 and (np.diff(x) >= 0).all() and (x[0], x[-1]) == (70, 780)
+            assert np.abs(y - (550 - (column - lo) / (hi - lo) * 510)).max() <= 0.005 + 1e-9
+
     def test_mc_columns_populated(self, tmp_path):
         out = tmp_path / "curve.csv"
         cli.run(["risk-curve", "--p", "5", "--theta", "2", "--c", "1,3",
@@ -588,8 +624,8 @@ class TestEntryPoint:
         code, *modules = proc.stdout.split()
         assert code == "0", proc.stderr
         assert "stein_shrink.special" in modules
-        unused = {"concurrent.futures", "stein_shrink.svgplot", "stein_shrink.conditional",
-                  "stein_shrink.geometry", "stein_shrink.acceptance"}
+        unused = {"concurrent.futures", "stein_shrink.svgplot", "stein_shrink.plane",
+                  "stein_shrink.acceptance"}
         assert unused.isdisjoint(modules)
 
     def test_traced_functions_are_bound_at_module_level(self):
@@ -744,15 +780,18 @@ class TestPlot:
         assert text.count(f"<circle {where}") == 2
 
     # sha256 of each document as rendered before it was streamed in blocks of
-    # points; the cloud and the line cover two blocks each
+    # points, except the risk curve with three c, taken when it became one line
+    # per c; the cloud and the one-c line cover two blocks each
     @pytest.mark.parametrize("argv, digest", [
         (["cloud", "--p", "3", "--theta", "0", "--n", "5000", "--seed", "3"],
          "ef59de925911edb5f2689cfc675cc1f73f8ba03ed1363b2a6f8c184a97bcc7b6"),
         (["risk-curve", "--p", "5", "--theta", "0:50:1500", "--c", "1,3,6"],
-         "fa973e482a8a03aaab02b87ad41f142b3166c6901543dbdd31aac84414297360"),
+         "f0c500d41d8530d900a4eb212d9efd69cedb5301b523988b645644c168ecdf3c"),
+        (["risk-curve", "--p", "5", "--theta", "0:50:5000", "--c", "3"],
+         "15a8afa9c33602c284a2e684d7b3c341ee12a90cb7a3b0c5e2c3041f2122813f"),
         (["geometry", "--p", "5", "--theta", "3"],
          "24a314860668b9bd749e5be01c63d3d47d1a297df4a2054d67b456b227c71f96"),
-    ], ids=["cloud", "risk-curve", "geometry"])
+    ], ids=["cloud", "risk-curve", "risk-curve-one-c", "geometry"])
     def test_svg_bytes_are_pinned(self, tmp_path, argv, digest):
         svg = tmp_path / "p.svg"
         assert cli.run(argv + ["--out", str(tmp_path / "p.csv"), "--svg", str(svg)]) == 0

@@ -42,4 +42,4 @@ def test_import_loads_no_submodule_until_a_name_is_used():
             "print(before, acceptance.__name__, ngo_projection.__module__)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(_SRC)))
-    assert proc.stdout.split() == ["[]", "stein_shrink.acceptance", "stein_shrink.geometry"]
+    assert proc.stdout.split() == ["[]", "stein_shrink.acceptance", "stein_shrink.plane"]
