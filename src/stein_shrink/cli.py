@@ -1,8 +1,10 @@
 """Command-line front end: grid sweeps, figure-regime reproduction, and the
 verification suite.  All numeric CSV output uses 17 significant digits, LF
 line endings, and atomic writes, so identical invocations are byte-identical.
-Each column gets one conversion, checked finite before any byte is written,
-and rows are streamed in fixed blocks into the atomic write's temp file.
+Each column gets one conversion, checked finite before any byte is written, and rows
+are streamed in blocks of 4096 into the atomic write's temp file: cloud's int64 and
+float64 arrays formatted by numpy (_csvtext, 17 digits from one exact Dekker product),
+other commands' Python rows by a %-template, faster below ~500 rows: the same bytes.
 The argument parser is built once per process and keeps no state between calls.
 plane, svgplot and acceptance are imported by the commands that run them.
 
@@ -92,26 +94,32 @@ def _write_atomic(path: str, chunks, *more):
 
 
 def _write_csv(path: str, header, columns, *more):
-    """Stream equal-length columns as CSV, one %-template per block of rows, and
-    write `more` with it through _write_atomic.
+    """Stream equal-length columns as CSV, one block of rows at a time, and write
+    `more` with it through _write_atomic.
 
-    Each column is converted, and checked, before the file is opened, so a
-    non-finite value names the leftmost column holding one.  %.17g writes the
-    bytes that format(v, ".17g") writes.
+    Each column is converted, and checked, before the file is opened, so a non-finite
+    value names the leftmost column holding one.  If every column is an int64 or float64
+    array, _csvtext formats each block, else one %-template does: the same bytes.
     """
     columns = list(columns)
     conversions = [_conversion(name, col) for name, col in zip(header, columns)]
     filled = [col for col, conv in zip(columns, conversions) if conv]
     n, k, row = len(columns[0]), len(filled), ",".join(conversions) + "\n"
+    numpy_rows = all(isinstance(col, np.ndarray) and col.dtype in (np.int64, np.float64)
+                     for col in columns)
+    if numpy_rows:
+        from ._csvtext import format_block  # the same bytes, made by numpy
 
     def blocks():
         yield ",".join(header) + "\n"
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
+            if numpy_rows:
+                yield format_block([col[start:start + m] for col in columns])
+                continue
             flat = [None] * (m * k)
             for j, col in enumerate(filled):
-                part = col[start:start + m]
-                flat[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
+                flat[j::k] = col[start:start + m]
             yield row * m % tuple(flat)
 
     _write_atomic(path, blocks(), *more)
@@ -250,7 +258,7 @@ def _cmd_risk_curve(args) -> int:
               "delta_mc_mean", "delta_mc_stderr"]
     return _emit(args, header, zip(*rows), plot=dict(  # one line per c
         xs=thetas, ys=grid, title=f"Exact risk difference, p={args.p}",
-        xlabel="theta", ylabel="delta", mode="line",
+        xlabel="theta", ylabel="delta", mode="line", labels=[f"c = {c:g}" for c in cs],
     ))
 
 

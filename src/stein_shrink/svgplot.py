@@ -16,6 +16,7 @@ __all__ = ["render_scatter"]
 _W, _H = 800, 600
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _BLOCK = 4096  # points per block of text
+_COLOURS = ["steelblue", "darkorange", "seagreen", "crimson", "purple", "saddlebrown"]
 
 
 def _span(values):
@@ -27,10 +28,10 @@ def _span(values):
     return lo, hi
 
 
-def render_scatter(xs, ys, title, xlabel, ylabel, mode="points"):
+def render_scatter(xs, ys, title, xlabel, ylabel, mode="points", labels=()):
     """Return an SVG document plotting (xs, ys), lists or arrays, as points or a polyline, as
     text blocks of _BLOCK points scaled as they are yielded; the input is checked at the call.
-    ys may be a (len(xs), k) grid: one set of points, or one polyline, per column."""
+    ys may be a (len(xs), k) grid: one set of points or polyline per column, in _COLOURS."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("need equal-length nonempty coordinate lists")
@@ -68,23 +69,29 @@ def render_scatter(xs, ys, title, xlabel, ylabel, mode="points"):
             f'<text x="{_ML - 10}" y="{sy(t):.2f}" text-anchor="end" '
             f'font-size="12">{t:.4g}</text>'
         )
+    columns = ys.reshape(len(ys), -1).T
+    colours = _COLOURS * len(columns)  # cycled, one per column
+    if len(columns) > 1:  # the legend, one label per column
+        parts += [f'<text x="{_W - _MR - 10}" y="{_MT + 15 * i}" text-anchor="end" font-size="12" '
+                  f'fill="{colours[i - 1]}">{label}</text>' for i, label in enumerate(labels, 1)]
     # a block is one %-template: a line's points are joined by spaces, circles end lines
     if mode == "line":
         head, point, sep = '<polyline points="', "%.2f,%.2f", " "
-        tail = '" fill="none" stroke="steelblue" stroke-width="1.5"/>\n'
+        tail = '" fill="none" stroke="{}" stroke-width="1.5"/>\n'
     else:
-        point = '<circle cx="%.2f" cy="%.2f" r="2" fill="steelblue"/>\n'
+        point = '<circle cx="%.2f" cy="%.2f" r="2" fill="{}"/>\n'
         head = sep = tail = ""
 
     def document():
         yield "\n".join(parts) + "\n"
-        for column in ys.reshape(len(ys), -1).T:
+        for column, colour in zip(columns, colours):
             yield head
             for lo in range(0, len(xs), _BLOCK):
                 with np.errstate(all="ignore"):  # as float arithmetic: silent where not finite
                     xy = np.column_stack((sx(xs[lo:lo + _BLOCK]), sy(column[lo:lo + _BLOCK])))
-                yield (sep if lo else "") + sep.join([point] * len(xy)) % tuple(xy.ravel().tolist())
-            yield tail
+                yield (sep if lo else "") + sep.join([point.format(colour)] * len(xy)) % tuple(
+                    xy.ravel().tolist())
+            yield tail.format(colour)
         yield "</svg>\n"
 
     return document()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stein_shrink import cli, exact_risk, monte_carlo, special, svgplot
+from stein_shrink import _csvtext, cli, exact_risk, monte_carlo, special, svgplot
 from stein_shrink.plane import conditional_delta_closed
 from stein_shrink.core import ProblemConfig
 from stein_shrink.monte_carlo import simulate_cloud
@@ -376,6 +377,50 @@ class TestCsvWriter:
         assert [r[0] for r in rows] == ["5", "100000000000000001"]
         assert float(rows[1][1]) == pytest.approx(math.sqrt(1e17), rel=1e-15)
 
+    @staticmethod
+    def _numpy_and_template(path, ints, floats):
+        """The bytes _write_csv writes for int64 and float64 array columns, and those of
+        the %-template."""
+        cli._write_csv(str(path), ["i", "x", "y"], [ints, floats, -floats])
+        rows = zip(ints.tolist(), floats.tolist(), (-floats).tolist())
+        return path.read_bytes(), ("i,x,y\n" + "%d,%.17g,%.17g\n" * len(ints) % tuple(
+            v for row in rows for v in row)).encode()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=40))
+    def test_numpy_path_writes_the_template_bytes(self, pairs):
+        # repeated past one block, so that every value is also written in the second
+        ints, floats = (np.resize(np.array(col, dtype=dtype), cli._BLOCK + len(pairs))
+                        for col, dtype in zip(zip(*pairs), (np.int64, np.float64)))
+        with tempfile.TemporaryDirectory() as d:
+            got, want = self._numpy_and_template(Path(d) / "x.csv", ints, floats)
+        assert got == want
+
+    def test_numpy_path_exponent_table_holds_the_least_double_at_or_above_each_power(self):
+        for j, v in zip(range(-4, 17), _csvtext._POW10.tolist()):
+            assert Fraction(np.nextafter(v, 0)) < Fraction(10)**j <= Fraction(v)
+
+    def test_numpy_path_writes_the_template_bytes_at_the_edges(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        edges = [np.array([1e-4, np.nextafter(1e-4, 0), np.nextafter(1e17, 0),
+                           float(10**17 - 1), 1e17, -0.0, 0.0, 5e-324, 1e308,
+                           sys.float_info.max, 2.0**63, 0.5, 1.0, 100.0])]
+        for e in range(-8, 19):  # powers of ten and the 200 doubles either side
+            bits = np.float64(float(f"1e{e}")).view(np.int64)
+            edges.append((bits + np.arange(-200, 201)).view(np.float64))
+        for s in range(1, 21):  # exact ties m * 2**-(s+1) at the 17th digit of 10**(16-s) <= x
+            lo = 10**(16 - s) * 2**(s + 1)
+            edges.append(np.ldexp((rng.integers(lo, min(10 * lo, 2**53), 200) | 1) * 1.0, -s - 1))
+        floats = np.concatenate(edges)
+        ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1, 7], dtype=np.int64), len(floats))
+        blocks = []
+        monkeypatch.setattr(_csvtext, "format_block",
+                            lambda cols, real=_csvtext.format_block: blocks.append(cols) or real(cols))
+        got, want = self._numpy_and_template(tmp_path / "x.csv", ints, floats)
+        assert len(blocks) > 1 and got == want
+
 
 class TestOutputTarget:
     _ARGV = ["special", "--p", "5", "--out"]
@@ -439,6 +484,24 @@ class TestCloud:
             for i, (x1, r) in enumerate(zip(sample.x1.tolist(), sample.r.tolist()))
         )
         assert out.read_bytes() == want.encode()
+
+    # sha256 of each CSV as the %-template wrote it: x1 below 1e-4 and in (1e-4, 1) at
+    # theta 0; r exactly 0 at p = 1; every x1 past 1e17 at theta 1e200; three blocks
+    # and a part at n = 12293
+    @pytest.mark.parametrize("argv, digest", [
+        (["--p", "3", "--theta", "0", "--n", "20000"],
+         "510b17475dd5efc5cf73db6d061f733f3a5c512f5def133bdc2b1fc99320567a"),
+        (["--p", "1", "--theta", "2", "--n", "5000"],
+         "d39c646fac954235bbd72b24921428a3c11eb32f4e3af84450f3a582192615a2"),
+        (["--p", "20", "--theta", "1e200", "--n", "5000"],
+         "d80646935f862200a27dc78ea0d32bff1302d3589504b82ffcff12af996cdf50"),
+        (["--p", "20", "--theta", "25", "--n", "12293"],
+         "b535c0a020a7851ba884c11b3b35be7259428394c607550baad86ed37e4d78a8"),
+    ], ids=["theta-0", "p-1", "theta-1e200", "four-blocks"])
+    def test_csv_bytes_are_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "cloud.csv"
+        assert cli.run(["cloud", *argv, "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_shape_and_roundtrip(self, tmp_path):
         out = tmp_path / "cloud.csv"
@@ -509,6 +572,16 @@ class TestRiskCurve:
             x, y = np.array([pt.split(",") for pt in line.split()], dtype=float).T
             assert len(x) == 5000 and (np.diff(x) >= 0).all() and (x[0], x[-1]) == (70, 780)
             assert np.abs(y - (550 - (column - lo) / (hi - lo) * 510)).max() <= 0.005 + 1e-9
+
+    def test_svg_tells_each_c_apart(self, tmp_path):
+        svg = tmp_path / "curve.svg"
+        assert cli.run(["risk-curve", "--p", "5", "--theta", "0:50:50", "--c", "1,3,6",
+                        "--out", str(tmp_path / "curve.csv"), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        strokes = re.findall(r'<polyline points="[^"]*" fill="none" stroke="(\w+)"', text)
+        labels = re.findall(r'fill="(\w+)">(c = [^<]*)</text>', text)
+        assert len(set(strokes)) == 3 and strokes[0] == "steelblue"
+        assert labels == list(zip(strokes, ["c = 1", "c = 3", "c = 6"]))
 
     def test_mc_columns_populated(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -625,7 +698,7 @@ class TestEntryPoint:
         assert code == "0", proc.stderr
         assert "stein_shrink.special" in modules
         unused = {"concurrent.futures", "stein_shrink.svgplot", "stein_shrink.plane",
-                  "stein_shrink.acceptance"}
+                  "stein_shrink.acceptance", "stein_shrink._csvtext"}
         assert unused.isdisjoint(modules)
 
     def test_traced_functions_are_bound_at_module_level(self):
@@ -780,13 +853,14 @@ class TestPlot:
         assert text.count(f"<circle {where}") == 2
 
     # sha256 of each document as rendered before it was streamed in blocks of
-    # points, except the risk curve with three c, taken when it became one line
-    # per c; the cloud and the one-c line cover two blocks each
+    # points, except the risk curve with three c, taken when each c's line got
+    # its own colour and a legend label; the cloud and the one-c line cover two
+    # blocks each
     @pytest.mark.parametrize("argv, digest", [
         (["cloud", "--p", "3", "--theta", "0", "--n", "5000", "--seed", "3"],
          "ef59de925911edb5f2689cfc675cc1f73f8ba03ed1363b2a6f8c184a97bcc7b6"),
         (["risk-curve", "--p", "5", "--theta", "0:50:1500", "--c", "1,3,6"],
-         "f0c500d41d8530d900a4eb212d9efd69cedb5301b523988b645644c168ecdf3c"),
+         "e15a4daaa86221c54bb72d1c900805029cab494664e321532330e65d1aff0c0b"),
         (["risk-curve", "--p", "5", "--theta", "0:50:5000", "--c", "3"],
          "15a8afa9c33602c284a2e684d7b3c341ee12a90cb7a3b0c5e2c3041f2122813f"),
         (["geometry", "--p", "5", "--theta", "3"],
